@@ -27,7 +27,7 @@ fn main() {
     println!("Table VII — availability of the baseline architectures");
     print!("{}", render(&scenarios, &result, Format::Table));
 
-    println!("\nShape checks (see DESIGN.md §5):");
+    println!("\nShape checks (the orderings tests/paper_shape.rs pins):");
     let avail: Vec<f64> = result
         .outcomes
         .iter()

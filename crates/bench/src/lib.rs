@@ -1,9 +1,9 @@
 //! Shared helpers for the experiment regenerators and ablation binaries.
 //!
 //! Each binary in `src/bin/` regenerates one artifact of the DSN'13 paper
-//! (see `DESIGN.md` §4 for the index); this library holds the paper's
-//! published reference values and small formatting utilities so every
-//! binary prints paper-vs-measured side by side.
+//! (see "Experiment binaries" in `README.md` for the index); this library
+//! holds the paper's published reference values and small formatting
+//! utilities so every binary prints paper-vs-measured side by side.
 
 /// A Table VII row as published in the paper.
 #[derive(Debug, Clone, Copy, PartialEq)]

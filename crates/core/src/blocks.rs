@@ -121,7 +121,8 @@ pub struct VmBehavior {
     /// Failed VMs awaiting repair (`VM_DOWN`).
     pub vm_down: PlaceId,
     /// Repaired/adopted VMs booting (`VM_STG`, merging the paper's
-    /// `VM_RDY`/`VM_STRTD` — see DESIGN.md §2).
+    /// `VM_RDY`/`VM_STRTD` — see "Reconstruction choices" in
+    /// `docs/ARCHITECTURE.md`).
     pub vm_stg: PlaceId,
     /// VM failure transition (infinite server).
     pub vm_f: TransitionId,

@@ -18,7 +18,7 @@
 //!   downtime, capacity-oriented availability,
 //! * the paper's full case study ([`scenarios`]): Table VII rows and the
 //!   Figure 7 sweep,
-//! * a parallel scenario-sweep harness ([`sweep`]).
+//! * guarded evaluation and the shared worker fan-out ([`sweep`]).
 //!
 //! # Quickstart
 //!
@@ -95,10 +95,7 @@ pub mod prelude {
         SensitivityRow,
     };
     pub use crate::slo::{SloTarget, DESIGN_SEARCH_KIND};
-    pub use crate::sweep::{
-        evaluate_all_guarded, evaluate_all_shared, evaluate_guarded, evaluate_guarded_from,
-        sweep_reports, sweep_reports_from, StructureRegistry, SweepOutcome,
-    };
+    pub use crate::sweep::{evaluate_all_guarded, evaluate_all_shared, StructureRegistry};
     pub use crate::system::{
         CloudModel, CloudSystemSpec, DataCenterSpec, PmSpec, SystemSummary,
     };

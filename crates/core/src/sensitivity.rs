@@ -55,9 +55,10 @@
 //! # Ok::<(), CloudError>(())
 //! ```
 
+use crate::analysis::{first_steady_state, AnalysisRequest};
 use crate::error::{CloudError, Result};
 use crate::metrics::EvalOptions;
-use crate::sweep::{evaluate_guarded_with_structure, sweep_reports_from};
+use crate::sweep::{evaluate_all_shared, fan_out, StructureRegistry};
 use crate::system::CloudSystemSpec;
 use dtc_petri::TangibleStructure;
 use std::sync::Arc;
@@ -412,8 +413,7 @@ pub fn scale_parameter(
 /// already-known baseline availability, evaluating only the **perturbed**
 /// models (two per parameter) on `threads` workers.
 ///
-/// This is the engine behind both [`availability_sensitivity`] and the
-/// unified analysis pipeline
+/// This is the sensitivity step of the unified analysis pipeline
 /// ([`crate::CloudModel::evaluate_all_on`]), where the baseline
 /// availability comes from the analysis set's shared steady-state solve —
 /// the base point is **not** rebuilt or re-solved here.
@@ -425,7 +425,8 @@ pub fn scale_parameter(
 /// caller offers the baseline's explored [`TangibleStructure`], every
 /// perturbed job re-rates it instead of re-exploring — bit-identical
 /// results (see [`crate::CloudModel::state_space_from`]), one exploration
-/// for the whole study. Pass `None` to explore per job.
+/// for the whole study. With `None`, the first perturbed job explores and
+/// publishes its structure for the rest.
 ///
 /// # Errors
 ///
@@ -446,49 +447,54 @@ pub fn sensitivity_with_baseline(
             "sensitivity rel_step {rel_step} must be in (0, 1)"
         )));
     }
+    // Only parameters the spec actually models contribute jobs.
+    let params: Vec<&Parameter> =
+        params.iter().filter(|p| parameter_value(spec, p).is_some()).collect();
+    let registry = StructureRegistry::new();
+    if let Some(s) = structure {
+        registry.insert(s.fingerprint(), Arc::clone(s));
+    }
+    rows_around(spec, &params, base_availability, opts, rel_step, threads, &registry)
+}
+
+/// Steady-state availability of one spec, through the shared evaluation
+/// path (re-rating `registry`'s structure when one matches).
+fn steady_availability(
+    spec: &CloudSystemSpec,
+    opts: &EvalOptions,
+    registry: &StructureRegistry,
+) -> Result<f64> {
+    let reports = evaluate_all_shared(spec, &[AnalysisRequest::SteadyState], opts, registry)?;
+    Ok(first_steady_state(&reports).expect("steady state was requested").availability)
+}
+
+/// Evaluates the (up, down) perturbed specs of every parameter over
+/// [`fan_out`] on `threads` workers, re-rating through `registry`, and
+/// turns them into rows ranked by descending `|elasticity|`.
+fn rows_around(
+    spec: &CloudSystemSpec,
+    params: &[&Parameter],
+    base_availability: f64,
+    opts: &EvalOptions,
+    rel_step: f64,
+    threads: usize,
+    registry: &StructureRegistry,
+) -> Result<Vec<SensitivityRow>> {
     if !(base_availability > 0.0 && base_availability <= 1.0) {
         return Err(CloudError::BadSpec(format!(
             "sensitivity baseline availability {base_availability} must be in (0, 1]"
         )));
     }
-    // Only parameters the spec actually models contribute jobs.
-    let params: Vec<&Parameter> =
-        params.iter().filter(|p| parameter_value(spec, p).is_some()).collect();
-    let jobs = perturbed_jobs(spec, &params, rel_step);
-    let outcomes = sweep_reports_from(&jobs, opts, threads, structure);
-    let avail = |i: usize| -> Result<f64> {
-        outcomes[i].report.as_ref().map(|r| r.availability).map_err(Clone::clone)
-    };
-    assemble_rows(spec, &params, base_availability, rel_step, |k| {
-        Ok((avail(2 * k)?, avail(2 * k + 1)?))
-    })
-}
-
-/// The perturbed specs for `params`, in (up, down) pairs, parameter order.
-fn perturbed_jobs(
-    spec: &CloudSystemSpec,
-    params: &[&Parameter],
-    rel_step: f64,
-) -> Vec<CloudSystemSpec> {
     let mut jobs = Vec::with_capacity(params.len() * 2);
     for p in params {
         jobs.push(scale_parameter(spec, p, 1.0 + rel_step).expect("parameter present"));
         jobs.push(scale_parameter(spec, p, 1.0 - rel_step).expect("parameter present"));
     }
-    jobs
-}
-
-/// Turns per-parameter (up, down) availabilities into ranked rows.
-fn assemble_rows(
-    spec: &CloudSystemSpec,
-    params: &[&Parameter],
-    base_availability: f64,
-    rel_step: f64,
-    mut pair: impl FnMut(usize) -> Result<(f64, f64)>,
-) -> Result<Vec<SensitivityRow>> {
+    let avail = fan_out(jobs.len(), threads, |i| steady_availability(&jobs[i], opts, registry));
     let mut rows = Vec::with_capacity(params.len());
     for (k, p) in params.iter().enumerate() {
-        let (up, down) = pair(k)?;
+        let up = avail[2 * k].clone()?;
+        let down = avail[2 * k + 1].clone()?;
         let dlna = (up - down) / base_availability;
         let dlnt = 2.0 * rel_step;
         rows.push(SensitivityRow {
@@ -520,24 +526,14 @@ pub fn availability_sensitivity(
     assert!(rel_step > 0.0 && rel_step < 1.0, "rel_step must be in (0,1)");
     let owned = applicable_parameters(spec);
     let params: Vec<&Parameter> = owned.iter().collect();
-    // The base point runs first and keeps its explored structure: every
-    // perturbed job is a rate-only sibling, so the whole study costs one
-    // exploration, with the 2·|params| perturbed graphs re-rated from it
-    // (bit-identical to exploring each — see
+    // The base point runs first and publishes its explored structure in
+    // the study's registry: every perturbed job is a rate-only sibling, so
+    // the whole study costs one exploration, with the 2·|params| perturbed
+    // graphs re-rated from it (bit-identical to exploring each — see
     // [`crate::CloudModel::state_space_from`]).
-    let (base_report, structure) = evaluate_guarded_with_structure(spec, opts)?;
-    let base = base_report.availability;
-    if !(base > 0.0 && base <= 1.0) {
-        return Err(CloudError::BadSpec(format!(
-            "sensitivity baseline availability {base} must be in (0, 1]"
-        )));
-    }
-    let jobs = perturbed_jobs(spec, &params, rel_step);
-    let outcomes = sweep_reports_from(&jobs, opts, threads, Some(&structure));
-    let avail = |i: usize| -> Result<f64> {
-        outcomes[i].report.as_ref().map(|r| r.availability).map_err(Clone::clone)
-    };
-    assemble_rows(spec, &params, base, rel_step, |k| Ok((avail(2 * k)?, avail(2 * k + 1)?)))
+    let registry = StructureRegistry::new();
+    let base = steady_availability(spec, opts, &registry)?;
+    rows_around(spec, &params, base, opts, rel_step, threads, &registry)
 }
 
 #[cfg(test)]
@@ -710,7 +706,7 @@ mod tests {
         let s = spec();
         let opts = EvalOptions::default();
         let full = availability_sensitivity(&s, &opts, 0.05, 2).unwrap();
-        let base = crate::sweep::evaluate_guarded(&s, &opts).unwrap().availability;
+        let base = steady_availability(&s, &opts, &StructureRegistry::new()).unwrap();
         let seeded = sensitivity_with_baseline(
             &s,
             &applicable_parameters(&s),

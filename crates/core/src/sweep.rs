@@ -1,17 +1,20 @@
-//! Parallel evaluation of scenario batches.
+//! Guarded evaluation and the shared worker fan-out.
 //!
-//! The Figure 7 sweep solves 45 independent models; this module fans the
-//! work out over a scoped thread pool (`std::thread::scope`) with a shared
-//! work queue, collecting per-scenario reports (or errors) in input order.
+//! Every evaluation in the workspace goes through [`evaluate_all_shared`]
+//! (or its unshared reference form [`evaluate_all_guarded`]) and every
+//! parallel batch — the engine's `run_batch`, a sensitivity study's
+//! perturbed jobs — spreads its work with [`fan_out`]: a scoped thread
+//! pool (`std::thread::scope`) pulling indices from a shared counter and
+//! collecting results in input order.
 //!
-//! Each scenario is additionally isolated with `catch_unwind`: a panic
-//! while building or solving one model (for example a non-finite rate that
-//! trips a builder assertion) becomes a [`CloudError::Panicked`] for that
-//! scenario instead of poisoning the whole batch.
+//! Each evaluation is isolated with `catch_unwind`: a panic while building
+//! or solving one model (for example a non-finite rate that trips a
+//! builder assertion) becomes a [`CloudError::Panicked`] for that job
+//! instead of poisoning the whole batch.
 
 use crate::analysis::{AnalysisReport, AnalysisRequest};
 use crate::error::CloudError;
-use crate::metrics::{AvailabilityReport, EvalOptions};
+use crate::metrics::EvalOptions;
 use crate::system::{CloudModel, CloudSystemSpec};
 use dtc_petri::TangibleStructure;
 use std::collections::HashMap;
@@ -19,62 +22,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Result of evaluating one scenario in a sweep.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// Index into the input slice.
-    pub index: usize,
-    /// The evaluation result.
-    pub report: Result<AvailabilityReport, CloudError>,
-}
-
-/// Builds and evaluates one spec, converting panics into errors.
-///
-/// The single-spec entry point used by callers that manage their own
-/// fan-out (e.g. single-flight evaluation in `dtc-engine`), with the same
-/// panic isolation the batch harness applies per scenario.
-pub fn evaluate_guarded(
-    spec: &CloudSystemSpec,
-    opts: &EvalOptions,
-) -> Result<AvailabilityReport, CloudError> {
-    guard(|| CloudModel::build(spec).and_then(|model| model.evaluate(opts)))
-}
-
-/// Like [`evaluate_guarded`], but re-rating `structure` instead of
-/// exploring when it matches the spec's compiled net (see
-/// [`CloudModel::state_space_from`]). Results are bit-identical either way;
-/// a mismatched structure silently falls back to full exploration.
-pub fn evaluate_guarded_from(
-    spec: &CloudSystemSpec,
-    opts: &EvalOptions,
-    structure: Option<&Arc<TangibleStructure>>,
-) -> Result<AvailabilityReport, CloudError> {
-    guard(|| {
-        let model = CloudModel::build(spec)?;
-        let graph = model.state_space_from(opts, structure)?;
-        model.evaluate_on(&graph, opts)
-    })
-}
-
-/// Like [`evaluate_guarded`], but also returning the explored
-/// [`TangibleStructure`] so rate-only siblings (a sensitivity study's
-/// perturbed jobs) can be re-rated from it.
-pub(crate) fn evaluate_guarded_with_structure(
-    spec: &CloudSystemSpec,
-    opts: &EvalOptions,
-) -> Result<(AvailabilityReport, Arc<TangibleStructure>), CloudError> {
-    guard(|| {
-        let model = CloudModel::build(spec)?;
-        let graph = model.state_space_from(opts, None)?;
-        let report = model.evaluate_on(&graph, opts)?;
-        Ok((report, Arc::clone(graph.structure())))
-    })
-}
-
 /// Builds one spec and runs a whole analysis set against a single
-/// state-space construction ([`CloudModel::evaluate_all`]), with the same
-/// panic isolation as [`evaluate_guarded`]. The multi-metric entry point
-/// the engine's single-flight executor calls.
+/// state-space construction ([`CloudModel::evaluate_all`]), converting
+/// panics into errors. Explores from scratch every time: the unshared
+/// reference that [`evaluate_all_shared`] must match byte for byte.
 pub fn evaluate_all_guarded(
     spec: &CloudSystemSpec,
     requests: &[AnalysisRequest],
@@ -89,15 +40,26 @@ pub fn evaluate_all_guarded(
 /// A batch executor creates one registry per batch and routes every job
 /// through [`evaluate_all_shared`]: the first job of each structural group
 /// explores and publishes its structure; every later sibling re-rates it.
-/// Re-rated graphs are bit-identical to freshly explored ones, so
-/// concurrent first-comers racing on the same fingerprint cost at most a
-/// redundant exploration — never a different result.
+/// Exploration is single-flight per fingerprint — siblings arriving while
+/// the first job explores wait for its structure instead of exploring it
+/// again — so a batch costs exactly one exploration per structural group.
+/// Re-rated graphs are bit-identical to freshly explored ones.
 ///
 /// Structure sharing is an execution detail (like thread counts): it must
 /// never leak into cache keys or report bytes.
 #[derive(Debug, Default)]
 pub struct StructureRegistry {
-    inner: Mutex<HashMap<u64, Arc<TangibleStructure>>>,
+    inner: Mutex<HashMap<u64, Arc<Slot>>>,
+}
+
+/// One structural group: empty until its first exploration publishes.
+/// The explorer holds the lock while it explores.
+type Slot = Mutex<Option<Arc<TangibleStructure>>>;
+
+/// Locks a slot, recovering it if an explorer panicked while holding it
+/// (the slot is then still empty and the next job explores).
+fn lock_slot(slot: &Slot) -> std::sync::MutexGuard<'_, Option<Arc<TangibleStructure>>> {
+    slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl StructureRegistry {
@@ -106,23 +68,22 @@ impl StructureRegistry {
         Self::default()
     }
 
-    /// The structure previously published for `fingerprint`, if any.
-    pub fn get(&self, fingerprint: u64) -> Option<Arc<TangibleStructure>> {
-        self.inner.lock().expect("registry mutex poisoned").get(&fingerprint).cloned()
+    fn slot(&self, fingerprint: u64) -> Arc<Slot> {
+        let mut slots = self.inner.lock().expect("registry mutex poisoned");
+        Arc::clone(slots.entry(fingerprint).or_default())
     }
 
-    /// Publishes `structure` for `fingerprint`; the first publication wins.
+    /// Publishes `structure` for `fingerprint` (seeding the registry with
+    /// an already-explored structure); the first publication wins.
     pub fn insert(&self, fingerprint: u64, structure: Arc<TangibleStructure>) {
-        self.inner
-            .lock()
-            .expect("registry mutex poisoned")
-            .entry(fingerprint)
-            .or_insert(structure);
+        lock_slot(&self.slot(fingerprint)).get_or_insert(structure);
     }
 
-    /// Number of distinct structural groups seen so far.
+    /// Number of structural groups with a published structure.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("registry mutex poisoned").len()
+        let slots: Vec<Arc<Slot>> =
+            self.inner.lock().expect("registry mutex poisoned").values().cloned().collect();
+        slots.iter().filter(|slot| lock_slot(slot).is_some()).count()
     }
 
     /// Whether no structure has been published yet.
@@ -134,8 +95,8 @@ impl StructureRegistry {
 /// Like [`evaluate_all_guarded`], but sharing explorations across a batch
 /// through `registry`: if a structure with this spec's fingerprint was
 /// already published, the state space is re-rated from it (bit-identical,
-/// no exploration); otherwise this job explores and publishes its structure
-/// for later siblings.
+/// no exploration); otherwise this job explores — while siblings of the
+/// same group wait — and publishes its structure for them.
 pub fn evaluate_all_shared(
     spec: &CloudSystemSpec,
     requests: &[AnalysisRequest],
@@ -144,12 +105,19 @@ pub fn evaluate_all_shared(
 ) -> Result<Vec<AnalysisReport>, CloudError> {
     guard(|| {
         let model = CloudModel::build(spec)?;
-        let fingerprint = model.net_fingerprint();
-        let shared = registry.get(fingerprint);
-        let graph = model.state_space_from(opts, shared.as_ref())?;
-        if shared.is_none() {
-            registry.insert(fingerprint, Arc::clone(graph.structure()));
-        }
+        let slot = registry.slot(model.net_fingerprint());
+        let mut published = lock_slot(&slot);
+        let graph = match published.clone() {
+            Some(structure) => {
+                drop(published);
+                model.state_space_from(opts, Some(&structure))?
+            }
+            None => {
+                let graph = model.state_space_from(opts, None)?;
+                *published = Some(Arc::clone(graph.structure()));
+                graph
+            }
+        };
         model.evaluate_all_on(spec, &graph, requests, opts)
     })
 }
@@ -169,51 +137,35 @@ fn guard<T>(f: impl FnOnce() -> Result<T, CloudError>) -> Result<T, CloudError> 
     }
 }
 
-/// Evaluates every spec, spreading work over `threads` worker threads
-/// (clamped to at least 1). Results are returned in input order; individual
-/// failures — including panics inside the model pipeline — are captured per
-/// scenario instead of aborting the batch.
-pub fn sweep_reports(
-    specs: &[CloudSystemSpec],
-    opts: &EvalOptions,
-    threads: usize,
-) -> Vec<SweepOutcome> {
-    sweep_reports_from(specs, opts, threads, None)
-}
-
-/// Like [`sweep_reports`], but offering every job a shared
-/// [`TangibleStructure`] to re-rate instead of exploring (see
-/// [`CloudModel::state_space_from`]). Jobs whose net does not match the
-/// structure fall back to full exploration, so a mixed batch is correct —
-/// just slower for the outliers. Results are bit-identical to
-/// [`sweep_reports`] either way.
-pub fn sweep_reports_from(
-    specs: &[CloudSystemSpec],
-    opts: &EvalOptions,
-    threads: usize,
-    structure: Option<&Arc<TangibleStructure>>,
-) -> Vec<SweepOutcome> {
-    let threads = threads.max(1).min(specs.len().max(1));
+/// Runs `job(i)` for every `i` in `0..n` on a scoped pool of `threads`
+/// workers (clamped to `1..=n`) that pull indices from a shared counter,
+/// and returns the results in index order.
+///
+/// When the calling thread has a request trace installed, every worker
+/// installs it too, so the spans `job` records land in the caller's tree.
+pub fn fan_out<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = threads.max(1).min(n.max(1));
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<SweepOutcome>>> = Mutex::new(vec![None; specs.len()]);
-
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    let tracing = dtc_obs::trace::current();
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= specs.len() {
-                    break;
+            scope.spawn(|| {
+                let _trace_guard = tracing.as_ref().map(|t| t.install());
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let out = job(i);
+                    slots.lock().expect("fan-out slots poisoned")[i] = Some(out);
                 }
-                let report = evaluate_guarded_from(&specs[i], opts, structure);
-                let mut slots = results.lock().expect("results mutex poisoned");
-                slots[i] = Some(SweepOutcome { index: i, report });
             });
         }
     });
-
-    results
+    slots
         .into_inner()
-        .expect("results mutex poisoned")
+        .expect("fan-out slots poisoned")
         .into_iter()
         .map(|o| o.expect("every index filled"))
         .collect()
@@ -243,35 +195,55 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sweep_preserves_order_and_monotonicity() {
-        let specs: Vec<_> = [500.0, 1000.0, 2000.0, 4000.0].map(tiny).into();
-        let out = sweep_reports(&specs, &EvalOptions::default(), 4);
-        assert_eq!(out.len(), 4);
-        let mut prev = 0.0;
-        for (i, o) in out.iter().enumerate() {
-            assert_eq!(o.index, i);
-            let a = o.report.as_ref().unwrap().availability;
-            assert!(a > prev, "availability should rise with PM MTTF");
-            prev = a;
-        }
+    fn steady(spec: &CloudSystemSpec, registry: &StructureRegistry) -> Result<f64, CloudError> {
+        let reports = evaluate_all_shared(
+            spec,
+            &[AnalysisRequest::SteadyState],
+            &EvalOptions::default(),
+            registry,
+        )?;
+        Ok(crate::analysis::first_steady_state(&reports).expect("requested").availability)
     }
 
     #[test]
-    fn sweep_captures_individual_failures() {
+    fn fan_out_preserves_order_and_monotonicity() {
+        let specs: Vec<_> = [500.0, 1000.0, 2000.0, 4000.0].map(tiny).into();
+        let registry = StructureRegistry::new();
+        let out = fan_out(specs.len(), 4, |i| steady(&specs[i], &registry).unwrap());
+        assert_eq!(out.len(), 4);
+        for pair in out.windows(2) {
+            assert!(pair[1] > pair[0], "availability should rise with PM MTTF");
+        }
+        assert_eq!(registry.len(), 1, "rate-only siblings share one structure");
+    }
+
+    #[test]
+    fn fan_out_handles_zero_threads_and_empty_input() {
+        assert_eq!(fan_out(3, 0, |i| i * 2), vec![0, 2, 4]);
+        assert!(fan_out(0, 4, |i| i).is_empty());
+    }
+
+    #[test]
+    fn fan_out_carries_the_callers_trace_into_workers() {
+        let ctx = dtc_obs::trace::TraceContext::new(dtc_obs::trace::TraceId::generate());
+        {
+            let _installed = dtc_obs::trace::install(&ctx);
+            fan_out(4, 2, |_| drop(dtc_obs::trace::trace_span("job")));
+        }
+        let snapshot = ctx.snapshot();
+        let jobs = snapshot.spans.iter().filter(|s| s.name == "job").count();
+        assert_eq!(jobs, 4, "every worker's span lands in the caller's tree");
+    }
+
+    #[test]
+    fn individual_failures_are_captured() {
         let mut bad = tiny(1000.0);
         bad.min_running_vms = 99;
-        let specs = vec![tiny(1000.0), bad];
-        let out = sweep_reports(&specs, &EvalOptions::default(), 2);
-        assert!(out[0].report.is_ok());
-        assert!(out[1].report.is_err());
-    }
-
-    #[test]
-    fn single_thread_works() {
-        let specs = vec![tiny(1000.0)];
-        let out = sweep_reports(&specs, &EvalOptions::default(), 0);
-        assert!(out[0].report.is_ok());
+        let specs = [tiny(1000.0), bad];
+        let registry = StructureRegistry::new();
+        let out = fan_out(specs.len(), 2, |i| steady(&specs[i], &registry));
+        assert!(out[0].is_ok());
+        assert!(out[1].is_err());
     }
 
     #[test]
@@ -281,14 +253,15 @@ mod tests {
         // positive-rate assertion inside the Petri-net builder — a panic.
         let mut evil = tiny(1000.0);
         evil.ospm = ComponentParams { mttf_hours: f64::NAN, mttr_hours: 12.0 };
-        let specs = vec![tiny(1000.0), evil, tiny(2000.0)];
-        let out = sweep_reports(&specs, &EvalOptions::default(), 2);
-        assert!(out[0].report.is_ok());
+        let specs = [tiny(1000.0), evil, tiny(2000.0)];
+        let registry = StructureRegistry::new();
+        let out = fan_out(specs.len(), 2, |i| steady(&specs[i], &registry));
+        assert!(out[0].is_ok());
         assert!(
-            matches!(&out[1].report, Err(CloudError::Panicked(msg)) if msg.contains("positive")),
+            matches!(&out[1], Err(CloudError::Panicked(msg)) if msg.contains("positive")),
             "expected Panicked, got {:?}",
-            out[1].report
+            out[1]
         );
-        assert!(out[2].report.is_ok(), "batch must survive a panicking scenario");
+        assert!(out[2].is_ok(), "batch must survive a panicking scenario");
     }
 }

@@ -177,8 +177,8 @@ pub struct DataCenterModel {
 ///
 /// [`CloudModel`] used to retain a full clone of the [`CloudSystemSpec`];
 /// storing only this summary lets [`CloudModel::build`] borrow the spec, so
-/// the single-flight hot path ([`crate::sweep::evaluate_guarded`]) performs
-/// no per-evaluation clone.
+/// the single-flight hot path ([`crate::sweep::evaluate_all_shared`])
+/// performs no per-evaluation clone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemSummary {
     /// Total VMs in the system (`N`).
@@ -1118,6 +1118,47 @@ mod tests {
             }
             other => panic!("expected cost, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn traced_sensitivity_holds_the_perturbed_solves() {
+        // The perturbed jobs run on fan-out workers; the caller's trace
+        // rides into them, so their solves nest under the `sensitivity`
+        // span instead of vanishing from the request's tree.
+        use dtc_obs::trace::{install, TraceContext, TraceId};
+        let spec = tiny_spec();
+        let model = CloudModel::build(&spec).unwrap();
+        let opts = EvalOptions { sweep_threads: 2, ..EvalOptions::default() };
+        let requests = [
+            AnalysisRequest::SteadyState,
+            AnalysisRequest::Sensitivity {
+                parameters: vec!["ospm_mttr".into()],
+                rel_step: 0.05,
+            },
+        ];
+        let ctx = TraceContext::new(TraceId::generate());
+        {
+            let _installed = install(&ctx);
+            model.evaluate_all(&spec, &requests, &opts).unwrap();
+        }
+        let snapshot = ctx.snapshot();
+        let sensitivity = snapshot
+            .spans
+            .iter()
+            .position(|s| s.name == "sensitivity")
+            .expect("sensitivity span recorded");
+        let total = snapshot.spans.iter().filter(|s| s.name == "stationary_solve").count();
+        assert_eq!(total, 3, "one shared steady solve plus two perturbed solves");
+        let perturbed = snapshot
+            .spans
+            .iter()
+            .filter(|s| s.name == "stationary_solve")
+            .filter(|s| {
+                std::iter::successors(s.parent, |&p| snapshot.spans[p].parent)
+                    .any(|p| p == sensitivity)
+            })
+            .count();
+        assert_eq!(perturbed, 2, "both perturbed solves sit under the sensitivity span");
     }
 
     #[test]

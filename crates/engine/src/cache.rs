@@ -453,7 +453,10 @@ impl EvalCache {
     /// invocations sharing one store extend it instead of overwriting each
     /// other; a corrupt concurrent state is simply replaced. The write goes
     /// through a temp file + rename, so a crash mid-persist cannot leave a
-    /// truncated store. The read-merge-write sequence itself is not atomic:
+    /// truncated store; the temp name is unique per call (process id plus a
+    /// process-wide sequence number), so concurrent persists — two HTTP
+    /// workers, or two caches on one store — never rename each other's
+    /// file away. The read-merge-write sequence itself is not atomic:
     /// two processes persisting at the same instant can still drop the
     /// slower one's new entries — a re-solve on the next run, never a wrong
     /// answer.
@@ -466,11 +469,19 @@ impl EvalCache {
         let json = self.to_json();
         dtc_obs::trace::attr_int("entries", self.len() as i64);
         dtc_obs::trace::attr_int("bytes", json.len() as i64);
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, json)
-            .map_err(|e| EngineError::Io(format!("{}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| EngineError::Io(format!("{}: {e}", path.display())))
+        static PERSIST_SEQ: AtomicU64 = AtomicU64::new(0);
+        let seq = PERSIST_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("json.{}.{seq}.tmp", std::process::id()));
+        let written = std::fs::write(&tmp, json)
+            .map_err(|e| EngineError::Io(format!("{}: {e}", tmp.display())))
+            .and_then(|()| {
+                std::fs::rename(&tmp, path)
+                    .map_err(|e| EngineError::Io(format!("{}: {e}", path.display())))
+            });
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 
     /// Serializes every entry to the store's JSON schema (version 2).
@@ -981,6 +992,49 @@ mod tests {
         assert!(merged.get(&key_of_encoding("spec-a"), "spec-a").is_some());
         assert!(merged.get(&key_of_encoding("spec-b"), "spec-b").is_some());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn concurrent_persists_never_collide_on_the_temp_file() {
+        let dir = std::env::temp_dir().join(format!("dtc-cache-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.json");
+        let _ = std::fs::remove_file(&path);
+
+        // Two threads on one cache plus two on a second cache over the same
+        // store: every persist must succeed, since each writes and renames
+        // its own temp file.
+        let a = Arc::new(EvalCache::with_store(&path).unwrap());
+        let b = Arc::new(EvalCache::with_store(&path).unwrap());
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let writers: Vec<_> = [(&a, "a0"), (&a, "a1"), (&b, "b0"), (&b, "b1")]
+            .into_iter()
+            .map(|(cache, writer)| {
+                let (cache, start) = (Arc::clone(cache), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..20 {
+                        let canonical = format!("{writer}-{i}");
+                        cache.put(&key_of_encoding(&canonical), &canonical, set(0.99));
+                        cache.persist().unwrap_or_else(|e| panic!("{writer} persist {i}: {e}"));
+                    }
+                })
+            })
+            .collect();
+        for writer in writers {
+            writer.join().expect("writer thread");
+        }
+        a.persist().unwrap();
+        b.persist().unwrap();
+        let reopened = EvalCache::with_store(&path).expect("final store parses");
+        assert_eq!(reopened.len(), 80, "sequential persists after the race merge everything");
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -7,19 +7,19 @@
 //! point ([`EvalCache::get_or_compute`]). The cache is shared by
 //! [`Arc`], so any number of concurrent batches — e.g. simultaneous
 //! `dtc-serve` requests — collapse identical solves into one, within and
-//! across batches. Per-scenario panics are isolated by
-//! [`dtc_core::sweep::evaluate_guarded`].
+//! across batches. The fan-out is [`dtc_core::sweep::fan_out`] and
+//! per-scenario panics are isolated by
+//! [`dtc_core::sweep::evaluate_all_shared`].
 
 use crate::cache::{CacheStats, EvalCache, Fetch};
 use crate::catalog::Scenario;
 use crate::hash::{canonical_encoding_with, SpecKey};
 use dtc_core::analysis::{AnalysisReport, AnalysisRequest};
 use dtc_core::metrics::{AvailabilityReport, EvalOptions};
-use dtc_core::sweep::{evaluate_all_shared, StructureRegistry};
+use dtc_core::sweep::{evaluate_all_shared, fan_out, StructureRegistry};
 use dtc_core::CloudError;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How a scenario's report was obtained.
@@ -177,8 +177,6 @@ pub fn run_batch(
     if eval.solver.threads == 0 {
         eval.solver.threads = (opts.threads.max(1) / threads).max(1);
     }
-    let resolved: Mutex<Vec<Option<Resolved>>> = Mutex::new(vec![None; uniques.len()]);
-    let next = AtomicUsize::new(0);
     // Batch-scoped structure pool: grid cells usually differ only in rates
     // (same places/transitions/arcs), so after the first cache miss of each
     // structural group explores, every later miss in the group re-rates
@@ -186,63 +184,40 @@ pub fn run_batch(
     // `dtc_core::sweep::evaluate_all_shared`). Purely an execution detail:
     // cache keys and report bytes are unchanged.
     let registry = StructureRegistry::new();
-    // When the calling thread has a request trace installed, carry it into
-    // the scoped workers so their solver spans land in the same tree.
-    let tracing = dtc_obs::trace::current();
     let t0 = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let _trace_guard = tracing.as_ref().map(|t| t.install());
-                loop {
-                    let u = next.fetch_add(1, Ordering::Relaxed);
-                    if u >= uniques.len() {
-                        break;
+    let resolved: Vec<Resolved> = fan_out(uniques.len(), threads, |u| {
+        let i = uniques[u];
+        let (key, canonical) = &keyed[i];
+        let _scenario_span = dtc_obs::trace::trace_span("scenario");
+        dtc_obs::trace::attr_str("name", &scenarios[i].name);
+        let outcome = cache.get_or_compute(key, canonical, || {
+            evaluate_all_shared(&scenarios[i].spec, &opts.analyses, &eval, &registry)
+                .map(Arc::new)
+        });
+        dtc_obs::trace::event(
+            "cache_lookup",
+            &[
+                (
+                    "outcome",
+                    match outcome.1 {
+                        Fetch::Hit => "hit",
+                        Fetch::Computed => "miss",
+                        Fetch::Joined => "join",
                     }
-                    let i = uniques[u];
-                    let (key, canonical) = &keyed[i];
-                    let _scenario_span = dtc_obs::trace::trace_span("scenario");
-                    dtc_obs::trace::attr_str("name", &scenarios[i].name);
-                    let outcome = cache.get_or_compute(key, canonical, || {
-                        evaluate_all_shared(
-                            &scenarios[i].spec,
-                            &opts.analyses,
-                            &eval,
-                            &registry,
-                        )
-                        .map(Arc::new)
-                    });
-                    dtc_obs::trace::event(
-                        "cache_lookup",
-                        &[
-                            (
-                                "outcome",
-                                match outcome.1 {
-                                    Fetch::Hit => "hit",
-                                    Fetch::Computed => "miss",
-                                    Fetch::Joined => "join",
-                                }
-                                .into(),
-                            ),
-                            ("key", key.0.as_str().into()),
-                        ],
-                    );
-                    let mut slots = resolved.lock().expect("resolved mutex poisoned");
-                    slots[u] = Some(outcome);
-                }
-            });
-        }
+                    .into(),
+                ),
+                ("key", key.0.as_str().into()),
+            ],
+        );
+        outcome
     });
     let solve_time = t0.elapsed();
-    let resolved = resolved.into_inner().expect("resolved mutex poisoned");
 
     // Assemble outcomes: representatives first, then duplicates copy them.
     let mut evaluated = 0usize;
     let mut cached = 0usize;
     let mut outcomes: Vec<Option<Outcome>> = vec![None; scenarios.len()];
-    for (u, &i) in uniques.iter().enumerate() {
-        let (reports, fetch) =
-            resolved[u].clone().expect("every unique slot resolved by the pool");
+    for (&i, (reports, fetch)) in uniques.iter().zip(resolved) {
         let provenance = match fetch {
             Fetch::Computed => {
                 evaluated += 1;

@@ -11,9 +11,9 @@
 //! propagation over an inflated route (real paths are not great circles)
 //! plus a fixed equipment latency; loss grows mildly with distance.
 //!
-//! The absolute constants are calibrated (see `DESIGN.md` §3) so the
-//! case-study MTTs land in the band implied by the paper's availability
-//! results; the model preserves the properties the paper exercises:
+//! The absolute constants are calibrated (see "Reconstruction choices" in
+//! `docs/ARCHITECTURE.md`) so the case-study MTTs land in the band implied
+//! by the paper's availability results; the model preserves the properties the paper exercises:
 //! monotonically increasing MTT with distance and `1/α` scaling.
 
 use crate::city::{haversine_km, City};
@@ -47,8 +47,8 @@ impl WanModel {
     /// The calibration used for the DSN'13 case-study reproduction.
     ///
     /// Chosen so the Rio–Brasília baseline lands in the paper's ~3.5-nines
-    /// band and the distance ordering/magnitudes of Table VII hold (see
-    /// `EXPERIMENTS.md` for the side-by-side numbers).
+    /// band and the distance ordering/magnitudes of Table VII hold (the
+    /// `table7` binary prints the side-by-side numbers).
     pub fn paper_calibrated() -> Self {
         WanModel {
             route_inflation: 1.35,

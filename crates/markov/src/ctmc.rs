@@ -199,7 +199,12 @@ impl Ctmc {
     /// Steady-state distribution with an explicit method and options.
     ///
     /// Records a `stationary_solve` stage span and the iteration count into
-    /// the [`dtc_obs::global`] registry (see [`crate::instrument`]).
+    /// the [`dtc_obs::global`] registry (see [`crate::instrument`]) — for a
+    /// solve that fails with [`MarkovError::NotConverged`] too, so the
+    /// iterations it burned and the residual it stopped at stay visible. A
+    /// stalled sweep method on a small chain (n ≤ 4096) falls back to the
+    /// direct solver; that is marked `fallback = "direct"` on the span and
+    /// counted in [`crate::instrument::direct_fallbacks`].
     pub fn steady_state_with(
         &self,
         method: Method,
@@ -217,23 +222,32 @@ impl Ctmc {
             Method::Jacobi | Method::GaussSeidel | Method::Sor => {
                 let qt = self.q.transpose();
                 match stationary_iteration(&qt, &vec![1.0 / n as f64; n], method, opts) {
-                    Ok(r) => Ok(r),
                     // Gauss–Seidel can stall on nearly-completely-decomposable
                     // stiff chains; fall back to the exact solver when the
                     // chain is small enough for O(n^3) to be bearable.
-                    Err(MarkovError::NotConverged { .. }) if n <= 4096 => {
+                    Err(MarkovError::NotConverged { iterations, .. }) if n <= 4096 => {
+                        crate::instrument::count_stationary_iterations(iterations as u64);
+                        crate::instrument::count_direct_fallback();
+                        dtc_obs::trace::attr_str("fallback", "direct");
                         direct_stationary(&self.q)
                     }
-                    Err(e) => Err(e),
+                    swept => swept,
                 }
             }
         };
-        if let Ok((_, stats)) = &result {
-            crate::instrument::count_stationary_iterations(stats.iterations as u64);
+        let numerics = match &result {
+            Ok((_, stats)) => Some((stats.iterations, stats.residual, stats.method)),
+            Err(MarkovError::NotConverged { method, iterations, residual }) => {
+                Some((*iterations, *residual, *method))
+            }
+            Err(_) => None,
+        };
+        if let Some((iterations, residual, solved_by)) = numerics {
+            crate::instrument::count_stationary_iterations(iterations as u64);
             dtc_obs::trace::attr_int("states", n as i64);
-            dtc_obs::trace::attr_int("iterations", stats.iterations as i64);
-            dtc_obs::trace::attr_float("residual", stats.residual);
-            dtc_obs::trace::attr_str("method", &stats.method.to_string());
+            dtc_obs::trace::attr_int("iterations", iterations as i64);
+            dtc_obs::trace::attr_float("residual", residual);
+            dtc_obs::trace::attr_str("method", &solved_by.to_string());
             // Only the power method runs the parallel kernels; the sweep
             // methods are inherently sequential.
             if matches!(method, Method::Power) {
@@ -380,6 +394,58 @@ mod tests {
         assert_eq!(c.num_states(), 2);
         assert!((c.generator().get(0, 0) + 0.01).abs() < 1e-15);
         assert_eq!(c.exit_rates()[1], 0.5);
+    }
+
+    #[test]
+    fn failed_and_fallback_solves_keep_their_numerics() {
+        use dtc_obs::trace::{install, AttrValue, TraceContext, TraceId};
+        // A stiff 5-state ring: two sweeps are nowhere near converged.
+        let mut b = CtmcBuilder::new(5);
+        for i in 0..5 {
+            b.rate(i, (i + 1) % 5, 1.0 + i as f64);
+            b.rate((i + 1) % 5, i, 1e-3 * (i + 1) as f64);
+        }
+        let c = b.build().unwrap();
+        let starved = SolverOptions {
+            max_iterations: 2,
+            check_every: 1,
+            accept_loose: 0.0,
+            ..SolverOptions::default()
+        };
+        let ctx = TraceContext::new(TraceId::generate());
+        let iterations0 = crate::instrument::stationary_iterations();
+        let fallbacks0 = crate::instrument::direct_fallbacks();
+        let (power, gauss_seidel) = {
+            let _installed = install(&ctx);
+            (
+                c.steady_state_with(Method::Power, &starved),
+                c.steady_state_with(Method::GaussSeidel, &starved),
+            )
+        };
+
+        // The power method has no fallback: the failure keeps its numerics.
+        let Err(MarkovError::NotConverged { iterations, residual, .. }) = power else {
+            panic!("expected NotConverged, got {power:?}");
+        };
+        assert!(iterations > 0);
+        assert!(crate::instrument::stationary_iterations() >= iterations0 + iterations as u64);
+        // Stalled Gauss–Seidel on a small chain falls back to the direct solver.
+        let (_, stats) = gauss_seidel.expect("direct fallback solves a 5-state chain");
+        assert_eq!(stats.method, Method::Direct);
+        assert!(crate::instrument::direct_fallbacks() > fallbacks0);
+
+        let snapshot = ctx.snapshot();
+        let solves: Vec<_> =
+            snapshot.spans.iter().filter(|s| s.name == "stationary_solve").collect();
+        assert_eq!(solves.len(), 2);
+        let attr = |i: usize, key: &str| {
+            solves[i].attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+        };
+        assert_eq!(attr(0, "iterations"), Some(AttrValue::Int(iterations as i64)));
+        assert_eq!(attr(0, "residual"), Some(AttrValue::Float(residual)));
+        assert_eq!(attr(0, "method"), Some(AttrValue::Str("power".into())));
+        assert_eq!(attr(1, "fallback"), Some(AttrValue::Str("direct".into())));
+        assert_eq!(attr(1, "method"), Some(AttrValue::Str("direct".into())));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! * `dtc_solver_uniformized_builds_total`
 //! * `dtc_solver_transient_marches_total`
 //! * `dtc_solver_stationary_iterations_total`
+//! * `dtc_solver_direct_fallbacks_total`
 //!
 //! Counters are cumulative for the process. Tests that assert on deltas
 //! should run in their own integration-test binary so concurrent tests in
@@ -56,6 +57,15 @@ fn iterations() -> &'static Counter {
     )
 }
 
+fn fallbacks() -> &'static Counter {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    solver_counter(
+        &C,
+        "dtc_solver_direct_fallbacks_total",
+        "Stationary solves whose sweep method stalled and fell back to the direct solver.",
+    )
+}
+
 /// Total `P = I + Q/Λ` constructions since process start.
 pub fn uniformized_builds() -> u64 {
     builds().value()
@@ -75,6 +85,12 @@ pub fn stationary_iterations() -> u64 {
     iterations().value()
 }
 
+/// Total stationary solves whose sweep method (Jacobi, Gauss–Seidel, SOR)
+/// did not converge and fell back to the direct solver since process start.
+pub fn direct_fallbacks() -> u64 {
+    fallbacks().value()
+}
+
 pub(crate) fn count_uniformized_build() {
     builds().inc();
 }
@@ -85,6 +101,13 @@ pub(crate) fn count_transient_march() {
 
 pub(crate) fn count_stationary_iterations(n: u64) {
     iterations().add(n);
+    // Registers the fallback series with the first solve, so a scrape
+    // shows it at zero instead of omitting it.
+    fallbacks();
+}
+
+pub(crate) fn count_direct_fallback() {
+    fallbacks().inc();
 }
 
 #[cfg(test)]

@@ -58,7 +58,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cli;
 pub mod http;
 pub mod loadgen;
@@ -288,11 +287,6 @@ impl Server {
     /// The shared evaluation cache.
     pub fn cache(&self) -> &Arc<EvalCache> {
         &self.shared.cache
-    }
-
-    /// Requests parsed and routed so far.
-    pub fn requests_served(&self) -> usize {
-        self.shared.requests.load(Ordering::Relaxed)
     }
 
     /// Connections answered 503 because the accept queue was full.

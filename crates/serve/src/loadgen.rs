@@ -3,7 +3,8 @@
 //! N client threads hammer the server over real sockets (one fresh TCP
 //! connection per request, so the accept → queue → worker path is
 //! exercised every time) and the run is summarized as requests/second plus
-//! p50/p95/p99 latency — the repo's end-to-end throughput benchmark.
+//! p50/p95/p99 latency — an operator's load tool. The tracked serve
+//! benchmark is perfbench's `serve_miss` workload (`perfbench/`).
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};

@@ -10,6 +10,7 @@
 //! ```
 
 use dtcloud::core::prelude::*;
+use dtcloud::engine::{run_batch, EvalCache, RunOptions, Scenario};
 use dtcloud::geo::{WanModel, RECIFE, RIO_DE_JANEIRO, SAO_PAULO};
 
 fn main() -> dtcloud::core::Result<()> {
@@ -29,7 +30,7 @@ fn main() -> dtcloud::core::Result<()> {
     let alphas = [0.35, 0.40, 0.45];
     let disaster_years = [100.0, 200.0, 300.0];
 
-    let mut specs = Vec::new();
+    let mut scenarios = Vec::new();
     for &alpha in &alphas {
         for &years in &disaster_years {
             let mtt = wan.mtt_between_hours(&RIO_DE_JANEIRO, &RECIFE, alpha, params.vm_size_gb);
@@ -43,19 +44,30 @@ fn main() -> dtcloud::core::Result<()> {
                 nas_net: Some(params.nas_net_folded().expect("folds")),
                 backup_inbound_mtt_hours: Some(bk),
             };
-            specs.push(CloudSystemSpec {
-                ospm: params.ospm_folded().expect("folds"),
-                vm: params.vm_params(),
-                data_centers: vec![dc("1", true, bk1), dc("2", false, bk2)],
-                backup: Some(params.backup),
-                direct_mtt_hours: vec![vec![None, Some(mtt)], vec![Some(mtt), None]],
-                min_running_vms: 1,
-                migration_threshold: 1,
+            scenarios.push(Scenario {
+                name: format!("alpha={alpha},disaster_years={years}"),
+                spec: CloudSystemSpec {
+                    ospm: params.ospm_folded().expect("folds"),
+                    vm: params.vm_params(),
+                    data_centers: vec![dc("1", true, bk1), dc("2", false, bk2)],
+                    backup: Some(params.backup),
+                    direct_mtt_hours: vec![vec![None, Some(mtt)], vec![Some(mtt), None]],
+                    min_running_vms: 1,
+                    migration_threshold: 1,
+                },
+                secondary: Some("Recife".into()),
+                alpha: Some(alpha),
+                disaster_years: Some(years),
+                machines: None,
+                is_baseline: false,
+                expect_availability: None,
             });
         }
     }
 
-    let outcomes = sweep_reports(&specs, &EvalOptions::default(), 4);
+    let cache = std::sync::Arc::new(EvalCache::in_memory());
+    let batch =
+        run_batch(&scenarios, &cache, &RunOptions { threads: 4, ..RunOptions::default() });
 
     println!(
         "{:>6} {:>14} {:>12} {:>7} {:>14} {:>6}",
@@ -64,7 +76,7 @@ fn main() -> dtcloud::core::Result<()> {
     let mut i = 0;
     for &alpha in &alphas {
         for &years in &disaster_years {
-            let r = outcomes[i].report.as_ref().expect("evaluation succeeds");
+            let r = batch.outcomes[i].steady().expect("evaluation succeeds");
             let meets = r.availability >= target_availability;
             println!(
                 "{:>6.2} {:>14.0} {:>12.7} {:>7.2} {:>14.2} {:>6}",

@@ -26,6 +26,11 @@
 //! | [`search`] | SLO-driven design search: feasible set, cost/availability Pareto frontier, break-even disaster rates |
 //! | [`serve`] | concurrent HTTP evaluation service with single-flight caching + loadgen |
 //!
+//! The paper's tables and figures are regenerated by the `dtc-bench`
+//! binaries (`table7`, `fig7`, …). The benchmark is `perfbench/`, a
+//! standalone package with its own cargo workspace that drives these
+//! crates end to end (see `perfbench/README.md`).
+//!
 //! # Example
 //!
 //! ```

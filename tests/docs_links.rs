@@ -1,8 +1,9 @@
 //! Link check for the hand-written documentation pages: every relative
 //! markdown link in `README.md` and `docs/*.md` must resolve to a file
-//! that exists (anchors are stripped). CI runs this alongside
-//! `cargo doc`'s rustdoc link checks, so a renamed or deleted page breaks
-//! the build instead of silently 404ing readers.
+//! that exists (anchors are stripped), and every `*.md` file a source
+//! comment names must exist too. CI runs this alongside `cargo doc`'s
+//! rustdoc link checks, so a renamed or deleted page breaks the build
+//! instead of silently 404ing readers.
 
 use std::path::PathBuf;
 
@@ -105,4 +106,62 @@ fn docs_pages_exist_and_are_cross_linked() {
         !readme.contains("curl -s http://127.0.0.1:7878/v2/evaluate"),
         "v2 curl examples live in docs/HTTP_API.md, not the README"
     );
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("readable source entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// `*.md` names in the comment text of `line` (`//`, `///`, `//!`).
+fn md_names_in_comment(line: &str) -> Vec<String> {
+    let Some(comment) = line.trim_start().strip_prefix("//") else { return Vec::new() };
+    comment
+        .split(|c: char| !(c.is_ascii_alphanumeric() || "_./-".contains(c)))
+        .map(|token| token.trim_end_matches('.'))
+        .filter(|token| token.len() > 3 && token.ends_with(".md"))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn md_files_named_in_source_comments_exist() {
+    let root = repo_root();
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+    let mut broken = Vec::new();
+    let mut checked = 0usize;
+    for source in &sources {
+        let text = std::fs::read_to_string(source)
+            .unwrap_or_else(|e| panic!("{}: {e}", source.display()));
+        for (n, line) in text.lines().enumerate() {
+            for name in md_names_in_comment(line) {
+                checked += 1;
+                // Resolve against the repo root, or against the citing
+                // file's directory or any of its ancestors (a crate-local
+                // README).
+                let found = root.join(&name).exists()
+                    || source
+                        .ancestors()
+                        .skip(1)
+                        .take_while(|dir| dir.starts_with(&root))
+                        .any(|dir| dir.join(&name).exists());
+                if !found {
+                    broken.push(format!("{}:{}: {name}", source.display(), n + 1));
+                }
+            }
+        }
+    }
+    assert!(broken.is_empty(), "source comments name missing pages:\n{}", broken.join("\n"));
+    assert!(checked >= 5, "found only {checked} page names in comments; did extraction break?");
 }

@@ -1,7 +1,9 @@
 //! Character-level fidelity of the generated guard expressions against the
-//! paper's Tables II and IV (with the two documented reconstruction
-//! choices of DESIGN.md §2). `describe_models` prints these; this test
-//! pins them so refactors cannot silently change the model.
+//! paper's Tables II and IV (with the two reconstruction choices listed
+//! in `docs/ARCHITECTURE.md`: `VM_RDY`/`VM_STRTD` merged into `VM_STG`,
+//! and the `TRI_21` guard typo corrected). `describe_models` prints
+//! these; this test pins them so refactors cannot silently change the
+//! model.
 
 use dtcloud::core::prelude::*;
 use dtcloud::geo::BRASILIA;

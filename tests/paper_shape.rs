@@ -1,10 +1,13 @@
 //! End-to-end checks of the paper's qualitative results (the "shape" the
-//! reproduction must preserve — see DESIGN.md §5).
+//! reproduction must preserve: single-DC rows ordered by PM count, every
+//! two-DC architecture above every single-DC one, availability falling
+//! with distance).
 //!
 //! These use the full-fidelity Table VII single-DC architectures plus
 //! reduced two-DC variants (one PM per DC) so the whole file solves in
-//! seconds; the full-size numbers come from the `table7`/`fig7` binaries
-//! and are recorded in EXPERIMENTS.md.
+//! seconds, and one full-size Fig. 6 model; the full-size numbers come
+//! from the `table7`/`fig7` binaries, which print them beside the
+//! paper's.
 
 use dtcloud::core::prelude::*;
 use dtcloud::geo::{BRASILIA, TOKYO};
@@ -46,7 +49,7 @@ fn table_vii_single_dc_rows_ordering_and_levels() {
         four.availability
     );
 
-    // Reconstruction check (DESIGN.md §5): the 2- and 4-machine rows are
+    // Reconstruction check: the 2- and 4-machine rows are
     // dominated by the disaster term 100/101 ≈ 0.990099; paper reports
     // 0.9899101 and 0.9900631.
     assert!((two.availability - 0.98991).abs() < 2e-4, "2-PM row: {}", two.availability);
