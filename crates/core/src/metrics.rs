@@ -11,7 +11,7 @@ pub struct EvalOptions {
     /// Steady-state solution method.
     pub method: Method,
     /// Solver iteration/tolerance options. `solver.threads` also sets the
-    /// worker count for the parallel march/power kernels; like
+    /// worker count for the parallel march kernels; like
     /// `sweep_threads` it is a pure scheduling knob (bit-identical results
     /// at every value) and is excluded from cache identity.
     pub solver: SolverOptions,

@@ -535,6 +535,9 @@ impl EvalCache {
             .ok_or_else(|| EngineError::Schema("cache store has no entries array".into()))?;
         let mut map = self.map.lock().expect("cache mutex poisoned");
         for e in entries {
+            if solved_by_retired_method(e) {
+                continue;
+            }
             let canonical = e
                 .get("canonical")
                 .and_then(|v| v.as_str())
@@ -576,26 +579,21 @@ impl EvalCache {
     }
 }
 
-fn method_name(m: Method) -> &'static str {
-    match m {
-        Method::Power => "power",
-        Method::Jacobi => "jacobi",
-        Method::GaussSeidel => "gauss-seidel",
-        Method::Sor => "sor",
-        Method::Direct => "direct",
-    }
-}
+/// Solver names earlier releases stored but this one no longer solves
+/// with. The method is part of an entry's key, so no request can reach
+/// such an entry again: loading skips it (and the next persist drops it)
+/// instead of rejecting the whole store.
+const RETIRED_METHODS: [&str; 3] = ["power", "jacobi", "sor"];
 
-/// Parses a solver-method name (the [`Method`] `Display` form).
-pub fn method_from_name(name: &str) -> Option<Method> {
-    match name {
-        "power" => Some(Method::Power),
-        "jacobi" => Some(Method::Jacobi),
-        "gauss-seidel" => Some(Method::GaussSeidel),
-        "sor" => Some(Method::Sor),
-        "direct" => Some(Method::Direct),
-        _ => None,
-    }
+/// Whether a stored entry (v1 `report` or v2 `reports`) was solved by a
+/// retired method.
+fn solved_by_retired_method(entry: &Value) -> bool {
+    let v2 = entry.get("reports").and_then(|r| r.as_array()).into_iter().flatten();
+    entry.get("report").into_iter().chain(v2).any(|r| {
+        r.get("solver_method")
+            .and_then(|m| m.as_str())
+            .is_some_and(|m| RETIRED_METHODS.contains(&m))
+    })
 }
 
 fn floats_to_value(xs: &[f64]) -> Value {
@@ -768,7 +766,7 @@ pub fn report_to_value(r: &AvailabilityReport) -> Value {
     t.insert("vanishing_markings".into(), Value::Int(r.vanishing_markings as i64));
     t.insert("solver_iterations".into(), Value::Int(r.solve.iterations as i64));
     t.insert("solver_residual".into(), Value::Float(r.solve.residual));
-    t.insert("solver_method".into(), Value::Str(method_name(r.solve.method).into()));
+    t.insert("solver_method".into(), Value::Str(r.solve.method.name().into()));
     Value::Table(t)
 }
 
@@ -795,7 +793,7 @@ pub fn report_from_value(v: &Value) -> Result<AvailabilityReport> {
     let method = v
         .get("solver_method")
         .and_then(|x| x.as_str())
-        .and_then(method_from_name)
+        .and_then(|x| x.parse::<Method>().ok())
         .ok_or_else(|| EngineError::Schema(format!("{ctx}: bad solver_method")))?;
     Ok(AvailabilityReport {
         availability,
@@ -1195,12 +1193,34 @@ mod tests {
     }
 
     #[test]
-    fn method_names_round_trip() {
-        for m in
-            [Method::Power, Method::Jacobi, Method::GaussSeidel, Method::Sor, Method::Direct]
-        {
-            assert_eq!(method_from_name(method_name(m)), Some(m));
-        }
-        assert_eq!(method_from_name("nope"), None);
+    fn entries_solved_by_retired_methods_are_skipped_not_fatal() {
+        let dir =
+            std::env::temp_dir().join(format!("dtc-cache-retired-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.json");
+        let (gs, old) = (key_of_encoding("canon-gs"), key_of_encoding("canon-old"));
+        let writer = EvalCache::in_memory();
+        writer.put(&gs, "canon-gs", set(0.995));
+        let mut direct = report(0.99);
+        direct.solve.method = Method::Direct;
+        writer.put(&old, "canon-old", Arc::new(vec![AnalysisReport::SteadyState(direct)]));
+        // What an older release wrote for a `--solver power` run.
+        let text = writer.to_json().replace("\"direct\"", "\"power\"");
+        assert!(text.contains("\"solver_method\":\"power\""), "{text}");
+        std::fs::write(&path, &text).unwrap();
+
+        let cache =
+            EvalCache::with_store(&path).expect("a retired method does not reject the store");
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.get(&gs, "canon-gs").unwrap(), set(0.995), "the GS entry stays warm");
+        assert!(cache.get(&old, "canon-old").is_none());
+        cache.persist().unwrap();
+        let rewritten = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            !rewritten.contains("canon-old"),
+            "persist drops the retired entry: {rewritten}"
+        );
+        assert_eq!(EvalCache::with_store(&path).unwrap().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -10,13 +10,13 @@
 //! options:
 //!   --format table|csv|json   output format (default table)
 //!   --threads N               worker threads (default: available cores)
-//!   --solver NAME             power|jacobi|gauss-seidel|sor|direct
+//!   --solver NAME             gauss-seidel|direct
 //!   --cache FILE              persistent JSON evaluation cache
 //! ```
 //!
 //! Results go to stdout; progress and the cache summary go to stderr.
 
-use crate::cache::{method_from_name, EvalCache};
+use crate::cache::EvalCache;
 use crate::catalog::{Catalog, Scenario};
 use crate::error::{EngineError, Result};
 use crate::executor::{run_batch, BatchResult, Outcome, RunOptions};
@@ -42,7 +42,7 @@ usage:
 options:
   --format table|csv|json   output format (default table)
   --threads N               worker threads (default: available cores)
-  --solver NAME             power|jacobi|gauss-seidel|sor|direct
+  --solver NAME             gauss-seidel|direct
   --analyses LIST           comma-separated analyses to run per scenario
                             (steady_state, transient, interval, mttsf,
                             capacity_thresholds, cost, simulation, sensitivity);
@@ -129,12 +129,7 @@ fn parse_options(args: &[String]) -> Result<(CliOptions, Vec<String>)> {
                 })?;
             }
             "--solver" => {
-                let v = take("--solver")?;
-                opts.run.eval.method = method_from_name(&v).ok_or_else(|| {
-                    EngineError::Schema(format!(
-                        "unknown solver {v:?} (power, jacobi, gauss-seidel, sor or direct)"
-                    ))
-                })?;
+                opts.run.eval.method = take("--solver")?.parse().map_err(EngineError::Schema)?
             }
             "--analyses" => opts.analyses = Some(parse_analyses_flag(&take("--analyses")?)?),
             "--cache" => opts.cache_path = Some(PathBuf::from(take("--cache")?)),
@@ -161,7 +156,7 @@ fn evaluate(catalog: &Catalog, opts: &CliOptions) -> Result<(Vec<Scenario>, Batc
     run.analyses = opts.analyses.clone().unwrap_or_else(|| catalog.analyses.clone());
     // --threads is the whole solver budget: run_batch divides it between
     // batch workers, per-scenario sweep fan-out (sensitivity), and the
-    // parallel march/power kernels inside each solve (dtc_markov::par).
+    // parallel march kernels inside each solve (dtc_markov::par).
     eprintln!(
         "catalog {:?}: {} scenario(s) × {} analysis(es) on {} thread(s)…",
         catalog.name,
@@ -418,14 +413,15 @@ mod tests {
 
     #[test]
     fn option_parsing() {
-        let args: Vec<String> = ["--format", "csv", "--threads", "2", "--solver", "power", "x"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let args: Vec<String> =
+            ["--format", "csv", "--threads", "2", "--solver", "direct", "x"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
         let (opts, positional) = parse_options(&args).unwrap();
         assert_eq!(opts.format, Format::Csv);
         assert_eq!(opts.run.threads, 2);
-        assert_eq!(opts.run.eval.method, dtc_markov::Method::Power);
+        assert_eq!(opts.run.eval.method, dtc_markov::Method::Direct);
         assert_eq!(positional, vec!["x".to_string()]);
 
         assert!(parse_options(&["--format".into(), "xml".into()]).is_err());
@@ -444,5 +440,14 @@ mod tests {
     fn run_needs_a_catalog_path() {
         assert_eq!(run_cli(&["run".into()]), 2);
         assert_eq!(run_cli(&["run".into(), "/no/such/file.toml".into()]), 2);
+    }
+
+    #[test]
+    fn retired_solvers_are_rejected_naming_the_valid_ones() {
+        for retired in ["power", "jacobi", "sor"] {
+            let err = parse_options(&["--solver".into(), retired.into()]).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("gauss-seidel") && msg.contains("direct"), "{msg}");
+        }
     }
 }

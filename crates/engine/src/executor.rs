@@ -167,11 +167,11 @@ pub fn run_batch(
     if eval.sweep_threads == 0 {
         eval.sweep_threads = (opts.threads.max(1) / threads).max(1);
     }
-    // Same budget split for the solver's parallel kernels (the uniformized
-    // march and the power method): an unset solver.threads shares the batch
-    // budget across workers, so a single-scenario `dtc run --threads N` (or
-    // a one-request `/v2/evaluate` with `--eval-threads N`) gives the march
-    // all N threads while a wide batch stays at ~N total. Safe to derive
+    // Same budget split for the solver's parallel kernel (the uniformized
+    // march): an unset solver.threads shares the batch budget across
+    // workers, so a single-scenario `dtc run --threads N` (or a one-request
+    // `/v2/evaluate` with `--eval-threads N`) gives the march all N
+    // threads while a wide batch stays at ~N total. Safe to derive
     // after keying: thread counts are excluded from cache identity because
     // the kernels are bit-identical at every value (`dtc_markov::par`).
     if eval.solver.threads == 0 {
@@ -353,7 +353,7 @@ mod tests {
         let cache = std::sync::Arc::new(EvalCache::in_memory());
         run_batch(&batch, &cache, &RunOptions::default());
         let mut opts = RunOptions::default();
-        opts.eval.method = dtc_markov::Method::Power;
+        opts.eval.method = dtc_markov::Method::Direct;
         let r = run_batch(&batch, &cache, &opts);
         assert_eq!(r.cached, 0, "different solver, different key");
         assert_eq!(r.evaluated, 1);

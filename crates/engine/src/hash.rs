@@ -112,16 +112,17 @@ pub fn canonical_encoding(spec: &CloudSystemSpec, opts: &EvalOptions) -> String 
     // thread count; see `dtc_markov::par`), so keying on them would only
     // split the cache. SolverOptions is therefore spelled out field by
     // field, byte-compatible with the derived Debug layout the original
-    // encoding used so existing on-disk cache entries keep hitting.
+    // encoding used so existing on-disk cache entries keep hitting —
+    // including the retired SOR `relaxation` field, whose value was always
+    // 1.0 for the methods that remain.
     let so = &opts.solver;
     let _ = write!(
         s,
         "opts:{:?};SolverOptions {{ max_iterations: {:?}, tolerance: {:?}, \
-         relaxation: {:?}, check_every: {:?}, accept_loose: {:?} }};{:?}",
+         relaxation: 1.0, check_every: {:?}, accept_loose: {:?} }};{:?}",
         opts.method,
         so.max_iterations,
         so.tolerance,
-        so.relaxation,
         so.check_every,
         so.accept_loose,
         opts.reach
@@ -258,7 +259,7 @@ mod tests {
         let mut opts = EvalOptions::default();
         opts.solver.tolerance = 1e-6;
         assert_ne!(base, spec_key(&spec(), &opts));
-        let opts = EvalOptions { method: dtc_markov::Method::Power, ..EvalOptions::default() };
+        let opts = EvalOptions { method: dtc_markov::Method::Direct, ..EvalOptions::default() };
         assert_ne!(base, spec_key(&spec(), &opts));
     }
 

@@ -24,8 +24,7 @@
 
 use crate::error::{MarkovError, Result};
 use crate::solve::{
-    direct_stationary, dot, power_stationary, stationary_iteration, Method, SolveStats,
-    SolverOptions,
+    direct_stationary, dot, stationary_iteration, Method, SolveStats, SolverOptions,
 };
 use crate::sparse::{CooMatrix, CsrMatrix};
 
@@ -161,8 +160,8 @@ impl Ctmc {
     }
 
     /// The uniformization rate `Λ ≥ max exit rate` (with 2% headroom so that
-    /// every state keeps a self-loop in the uniformized DTMC, which avoids
-    /// periodicity artifacts in power iteration).
+    /// every state keeps a self-loop in the uniformized DTMC, which keeps it
+    /// aperiodic).
     pub fn uniformization_rate(&self) -> f64 {
         let m = self.exit_rates.iter().cloned().fold(0.0, f64::max);
         if m == 0.0 {
@@ -202,9 +201,12 @@ impl Ctmc {
     /// the [`dtc_obs::global`] registry (see [`crate::instrument`]) — for a
     /// solve that fails with [`MarkovError::NotConverged`] too, so the
     /// iterations it burned and the residual it stopped at stay visible. A
-    /// stalled sweep method on a small chain (n ≤ 4096) falls back to the
-    /// direct solver; that is marked `fallback = "direct"` on the span and
-    /// counted in [`crate::instrument::direct_fallbacks`].
+    /// stalled Gauss–Seidel solve on a small chain (n ≤ 4096) falls back to
+    /// the direct solver; that is marked `fallback = "direct"` on the span
+    /// and counted in [`crate::instrument::direct_fallbacks`]. Inside a
+    /// trace, a solved span also carries `residual_l1 = ‖πQ‖₁`, the true
+    /// residual of the answer (one extra sparse multiply, skipped when no
+    /// trace is installed).
     pub fn steady_state_with(
         &self,
         method: Method,
@@ -214,14 +216,9 @@ impl Ctmc {
         let n = self.num_states();
         let result = match method {
             Method::Direct => direct_stationary(&self.q),
-            Method::Power => {
-                let lambda = self.uniformization_rate();
-                let p = self.uniformized(lambda);
-                power_stationary(&p, &vec![1.0 / n as f64; n], opts)
-            }
-            Method::Jacobi | Method::GaussSeidel | Method::Sor => {
+            Method::GaussSeidel => {
                 let qt = self.q.transpose();
-                match stationary_iteration(&qt, &vec![1.0 / n as f64; n], method, opts) {
+                match stationary_iteration(&qt, &vec![1.0 / n as f64; n], opts) {
                     // Gauss–Seidel can stall on nearly-completely-decomposable
                     // stiff chains; fall back to the exact solver when the
                     // chain is small enough for O(n^3) to be bearable.
@@ -247,47 +244,11 @@ impl Ctmc {
             dtc_obs::trace::attr_int("states", n as i64);
             dtc_obs::trace::attr_int("iterations", iterations as i64);
             dtc_obs::trace::attr_float("residual", residual);
-            dtc_obs::trace::attr_str("method", &solved_by.to_string());
-            // Only the power method runs the parallel kernels; the sweep
-            // methods are inherently sequential.
-            if matches!(method, Method::Power) {
-                dtc_obs::trace::attr_int("threads", opts.resolved_threads() as i64);
-            }
+            dtc_obs::trace::attr_str("method", solved_by.name());
         }
-        result
-    }
-
-    /// Warm-started steady-state solve: power iteration seeded with a
-    /// neighboring candidate's stationary vector (see
-    /// [`crate::solve::power_stationary_from`]). Saved iterations are
-    /// visible through [`crate::instrument::stationary_iterations`] and the
-    /// `stationary_solve` span's `iterations`/`warm_start` attributes.
-    ///
-    /// The result agrees with a cold [`Ctmc::steady_state_with`] power
-    /// solve within the solver tolerance but is not bit-identical to it,
-    /// so cached/golden evaluation paths stay cold-started.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures; see [`MarkovError`].
-    pub fn steady_state_power_from(
-        &self,
-        guess: &[f64],
-        opts: &SolverOptions,
-    ) -> Result<(Vec<f64>, SolveStats)> {
-        let _span = dtc_obs::stage_span("stationary_solve");
-        let n = self.num_states();
-        let lambda = self.uniformization_rate();
-        let p = self.uniformized(lambda);
-        let result = crate::solve::power_stationary_from(&p, guess, opts);
-        if let Ok((_, stats)) = &result {
-            crate::instrument::count_stationary_iterations(stats.iterations as u64);
-            dtc_obs::trace::attr_int("states", n as i64);
-            dtc_obs::trace::attr_int("iterations", stats.iterations as i64);
-            dtc_obs::trace::attr_float("residual", stats.residual);
-            dtc_obs::trace::attr_str("method", &stats.method.to_string());
-            dtc_obs::trace::attr_bool("warm_start", true);
-            dtc_obs::trace::attr_int("threads", opts.resolved_threads() as i64);
+        if let (Ok((pi, _)), Some(_)) = (&result, dtc_obs::trace::current_id()) {
+            let residual_l1 = self.q.vec_mul(pi).iter().map(|v| v.abs()).sum::<f64>();
+            dtc_obs::trace::attr_float("residual_l1", residual_l1);
         }
         result
     }
@@ -380,6 +341,7 @@ impl Ctmc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtc_obs::trace::{install, AttrValue, TraceContext, TraceId};
 
     fn repairable(mttf: f64, mttr: f64) -> Ctmc {
         let mut b = CtmcBuilder::new(2);
@@ -396,56 +358,112 @@ mod tests {
         assert_eq!(c.exit_rates()[1], 0.5);
     }
 
+    /// A stiff birth–death ring: Gauss–Seidel needs many sweeps, and past
+    /// 4096 states a stalled solve has no direct fallback.
+    fn stiff_ring(n: usize) -> Ctmc {
+        let mut b = CtmcBuilder::new(n);
+        for i in 0..n {
+            b.rate(i, (i + 1) % n, 1.0 + (i % 5) as f64);
+            b.rate((i + 1) % n, i, 1e-3 * (1 + i % 7) as f64);
+        }
+        b.build().unwrap()
+    }
+
+    /// The attributes of every `stationary_solve` span in a trace.
+    fn solve_attrs(ctx: &TraceContext) -> Vec<Vec<(String, AttrValue)>> {
+        let spans = ctx.snapshot().spans.into_iter();
+        spans.filter(|s| s.name == "stationary_solve").map(|s| s.attrs).collect()
+    }
+
+    fn attr<'a>(attrs: &'a [(String, AttrValue)], key: &str) -> Option<&'a AttrValue> {
+        attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
     #[test]
     fn failed_and_fallback_solves_keep_their_numerics() {
-        use dtc_obs::trace::{install, AttrValue, TraceContext, TraceId};
-        // A stiff 5-state ring: two sweeps are nowhere near converged.
-        let mut b = CtmcBuilder::new(5);
-        for i in 0..5 {
-            b.rate(i, (i + 1) % 5, 1.0 + i as f64);
-            b.rate((i + 1) % 5, i, 1e-3 * (i + 1) as f64);
-        }
-        let c = b.build().unwrap();
         let starved = SolverOptions {
             max_iterations: 2,
             check_every: 1,
             accept_loose: 0.0,
             ..SolverOptions::default()
         };
+        let large = stiff_ring(4100);
+        let small = stiff_ring(5);
         let ctx = TraceContext::new(TraceId::generate());
         let iterations0 = crate::instrument::stationary_iterations();
         let fallbacks0 = crate::instrument::direct_fallbacks();
-        let (power, gauss_seidel) = {
+        let (failed, fell_back) = {
             let _installed = install(&ctx);
             (
-                c.steady_state_with(Method::Power, &starved),
-                c.steady_state_with(Method::GaussSeidel, &starved),
+                large.steady_state_with(Method::GaussSeidel, &starved),
+                small.steady_state_with(Method::GaussSeidel, &starved),
             )
         };
 
-        // The power method has no fallback: the failure keeps its numerics.
-        let Err(MarkovError::NotConverged { iterations, residual, .. }) = power else {
-            panic!("expected NotConverged, got {power:?}");
+        // Past 4096 states there is no fallback: the failure keeps its
+        // numerics.
+        let Err(MarkovError::NotConverged { method, iterations, residual }) = failed else {
+            panic!("expected NotConverged, got {failed:?}");
         };
-        assert!(iterations > 0);
+        assert_eq!(method, Method::GaussSeidel);
+        assert_eq!(iterations, 2);
         assert!(crate::instrument::stationary_iterations() >= iterations0 + iterations as u64);
         // Stalled Gauss–Seidel on a small chain falls back to the direct solver.
-        let (_, stats) = gauss_seidel.expect("direct fallback solves a 5-state chain");
+        let (_, stats) = fell_back.expect("direct fallback solves a 5-state chain");
         assert_eq!(stats.method, Method::Direct);
         assert!(crate::instrument::direct_fallbacks() > fallbacks0);
 
-        let snapshot = ctx.snapshot();
-        let solves: Vec<_> =
-            snapshot.spans.iter().filter(|s| s.name == "stationary_solve").collect();
+        let solves = solve_attrs(&ctx);
         assert_eq!(solves.len(), 2);
-        let attr = |i: usize, key: &str| {
-            solves[i].attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
+        assert_eq!(attr(&solves[0], "iterations"), Some(&AttrValue::Int(iterations as i64)));
+        assert_eq!(attr(&solves[0], "residual"), Some(&AttrValue::Float(residual)));
+        assert_eq!(attr(&solves[0], "method"), Some(&AttrValue::Str("gauss-seidel".into())));
+        assert_eq!(attr(&solves[0], "residual_l1"), None, "a failed solve has no answer");
+        assert_eq!(attr(&solves[1], "fallback"), Some(&AttrValue::Str("direct".into())));
+        assert_eq!(attr(&solves[1], "method"), Some(&AttrValue::Str("direct".into())));
+        let Some(AttrValue::Float(r)) = attr(&solves[1], "residual_l1") else {
+            panic!("solved span must carry residual_l1: {:?}", solves[1]);
         };
-        assert_eq!(attr(0, "iterations"), Some(AttrValue::Int(iterations as i64)));
-        assert_eq!(attr(0, "residual"), Some(AttrValue::Float(residual)));
-        assert_eq!(attr(0, "method"), Some(AttrValue::Str("power".into())));
-        assert_eq!(attr(1, "fallback"), Some(AttrValue::Str("direct".into())));
-        assert_eq!(attr(1, "method"), Some(AttrValue::Str("direct".into())));
+        assert!(*r < 1e-9, "direct answer has a tiny true residual: {r}");
+    }
+
+    #[test]
+    fn loose_accepts_are_marked_and_counted() {
+        // Too few sweeps to meet the tolerance, a loose bar anything
+        // passes, and no direct fallback above 4096 states.
+        let opts = SolverOptions {
+            max_iterations: 16,
+            accept_loose: f64::INFINITY,
+            ..SolverOptions::default()
+        };
+        let c = stiff_ring(4100);
+        let ctx = TraceContext::new(TraceId::generate());
+        let loose0 = crate::instrument::loose_accepts();
+        let (pi, stats) = {
+            let _installed = install(&ctx);
+            c.steady_state_with(Method::GaussSeidel, &opts).unwrap()
+        };
+        assert_eq!(stats.method, Method::GaussSeidel);
+        assert_eq!(stats.iterations, 16);
+        assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!(crate::instrument::loose_accepts() > loose0);
+
+        let solves = solve_attrs(&ctx);
+        assert_eq!(solves.len(), 1);
+        assert_eq!(attr(&solves[0], "loose"), Some(&AttrValue::Bool(true)));
+        let Some(AttrValue::Float(r)) = attr(&solves[0], "residual_l1") else {
+            panic!("solved span must carry residual_l1: {:?}", solves[0]);
+        };
+        assert!(r.is_finite() && *r > 1e-12, "a loose answer shows its residual: {r}");
+
+        // A converged solve carries no `loose` mark.
+        let ctx = TraceContext::new(TraceId::generate());
+        {
+            let _installed = install(&ctx);
+            stiff_ring(5).steady_state_with(Method::GaussSeidel, &SolverOptions::default())
+        }
+        .unwrap();
+        assert_eq!(attr(&solve_attrs(&ctx)[0], "loose"), None);
     }
 
     #[test]
@@ -461,13 +479,10 @@ mod tests {
         let c = repairable(4000.0, 1.0);
         let (exact, _) =
             c.steady_state_with(Method::Direct, &SolverOptions::default()).unwrap();
-        for m in [Method::Power, Method::Jacobi, Method::GaussSeidel, Method::Sor] {
-            let opts =
-                SolverOptions { relaxation: 1.05, tolerance: 1e-14, ..Default::default() };
-            let (pi, _) = c.steady_state_with(m, &opts).unwrap();
-            for (a, b) in pi.iter().zip(&exact) {
-                assert!((a - b).abs() < 1e-8, "{m:?}: {pi:?} vs {exact:?}");
-            }
+        let opts = SolverOptions { tolerance: 1e-14, ..Default::default() };
+        let (pi, _) = c.steady_state_with(Method::GaussSeidel, &opts).unwrap();
+        for (a, b) in pi.iter().zip(&exact) {
+            assert!((a - b).abs() < 1e-8, "{pi:?} vs {exact:?}");
         }
     }
 

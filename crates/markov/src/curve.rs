@@ -51,8 +51,10 @@ const CUMULATIVE_EPSILON: f64 = 1e-13;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PassOptions<'a> {
     /// Worker threads for the march kernels: `0` means one per available
-    /// core, `1` forces the serial path. Results are bit-identical at
-    /// every value (see [`crate::par`] for the contract).
+    /// core, `1` forces the serial path; chains below
+    /// [`par::MIN_PARALLEL_STATES`] states always march serially. Results
+    /// are bit-identical at every value (see [`crate::par`] for the
+    /// contract).
     pub threads: usize,
     /// Reward-projection mode: when set, the pass accumulates the scalars
     /// `r·π(t)` into [`PassOutput::point_rewards`] instead of
@@ -172,7 +174,10 @@ pub fn uniformized_pass_with(
             return Err(MarkovError::DimensionMismatch { expected: n, got: r.len() });
         }
     }
-    let threads = par::resolve_threads(options.threads);
+    // Resolved once per pass; small chains march serially (see
+    // `par::MIN_PARALLEL_STATES`), which cannot change a result bit.
+    let threads =
+        if n < par::MIN_PARALLEL_STATES { 1 } else { par::resolve_threads(options.threads) };
 
     let lambda = ctmc.uniformization_rate();
 

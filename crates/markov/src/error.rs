@@ -46,15 +46,6 @@ pub enum MarkovError {
         /// Index of the offending state.
         state: usize,
     },
-    /// The SOR relaxation factor must lie in `(0, 2)`.
-    BadRelaxation(f64),
-    /// A method was passed to a function that does not implement it.
-    UnsupportedMethod {
-        /// The offending method.
-        method: Method,
-        /// Which function rejected it.
-        context: &'static str,
-    },
     /// A generator row had a negative off-diagonal or positive diagonal.
     InvalidGenerator {
         /// Offending state.
@@ -92,12 +83,6 @@ impl fmt::Display for MarkovError {
             }
             MarkovError::ZeroDiagonal { state } => {
                 write!(f, "state {state} is absorbing; stationary iteration undefined")
-            }
-            MarkovError::BadRelaxation(w) => {
-                write!(f, "relaxation factor {w} outside (0, 2)")
-            }
-            MarkovError::UnsupportedMethod { method, context } => {
-                write!(f, "method {method} not supported by {context}")
             }
             MarkovError::InvalidGenerator { state, detail } => {
                 write!(f, "invalid generator row {state}: {detail}")
@@ -142,8 +127,6 @@ mod tests {
             MarkovError::DimensionMismatch { expected: 3, got: 4 },
             MarkovError::Singular { pivot: 0 },
             MarkovError::ZeroDiagonal { state: 5 },
-            MarkovError::BadRelaxation(3.0),
-            MarkovError::UnsupportedMethod { method: Method::Direct, context: "x" },
             MarkovError::InvalidGenerator { state: 1, detail: "neg".into() },
             MarkovError::NotStochastic { state: 2, sum: 0.9 },
             MarkovError::NegativeTime(-1.0),

@@ -14,6 +14,7 @@
 //! * `dtc_solver_transient_marches_total`
 //! * `dtc_solver_stationary_iterations_total`
 //! * `dtc_solver_direct_fallbacks_total`
+//! * `dtc_solver_loose_accepts_total`
 //!
 //! Counters are cumulative for the process. Tests that assert on deltas
 //! should run in their own integration-test binary so concurrent tests in
@@ -66,6 +67,15 @@ fn fallbacks() -> &'static Counter {
     )
 }
 
+fn loose() -> &'static Counter {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    solver_counter(
+        &C,
+        "dtc_solver_loose_accepts_total",
+        "Stationary solves accepted under the loose tolerance after exhausting their sweep budget.",
+    )
+}
+
 /// Total `P = I + Q/Λ` constructions since process start.
 pub fn uniformized_builds() -> u64 {
     builds().value()
@@ -79,16 +89,22 @@ pub fn transient_marches() -> u64 {
     marches().value()
 }
 
-/// Total inner iterations spent in stationary solves (power/Jacobi sweeps,
-/// Gauss-Seidel passes) since process start.
+/// Total inner iterations spent in stationary solves (Gauss–Seidel sweeps)
+/// since process start.
 pub fn stationary_iterations() -> u64 {
     iterations().value()
 }
 
-/// Total stationary solves whose sweep method (Jacobi, Gauss–Seidel, SOR)
-/// did not converge and fell back to the direct solver since process start.
+/// Total stationary solves whose Gauss–Seidel sweeps did not converge and
+/// fell back to the direct solver since process start.
 pub fn direct_fallbacks() -> u64 {
     fallbacks().value()
+}
+
+/// Total stationary solves that ran out of sweeps and were accepted under
+/// [`crate::SolverOptions::accept_loose`] since process start.
+pub fn loose_accepts() -> u64 {
+    loose().value()
 }
 
 pub(crate) fn count_uniformized_build() {
@@ -101,13 +117,18 @@ pub(crate) fn count_transient_march() {
 
 pub(crate) fn count_stationary_iterations(n: u64) {
     iterations().add(n);
-    // Registers the fallback series with the first solve, so a scrape
-    // shows it at zero instead of omitting it.
+    // Registers the fallback and loose-accept series with the first solve,
+    // so a scrape shows them at zero instead of omitting them.
     fallbacks();
+    loose();
 }
 
 pub(crate) fn count_direct_fallback() {
     fallbacks().inc();
+}
+
+pub(crate) fn count_loose_accept() {
+    loose().inc();
 }
 
 #[cfg(test)]

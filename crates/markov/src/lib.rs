@@ -6,14 +6,14 @@
 //!
 //! * sparse CSR matrices ([`sparse`]),
 //! * continuous-time Markov chains with steady-state solvers
-//!   (power / Jacobi / Gauss–Seidel / SOR / dense direct) and transient
-//!   solutions by uniformization ([`ctmc`], [`solve`], [`transient`]),
-//!   including whole transient/interval curves from a single shared power
-//!   march ([`curve`], instrumented via [`instrument`]),
-//! * deterministic parallel kernels behind the march and the power method
-//!   ([`par`]): fixed row blocks over scoped threads, bit-identical
+//!   (Gauss–Seidel, and dense direct elimination as the small-chain oracle
+//!   and fallback) and transient solutions by uniformization ([`ctmc`],
+//!   [`solve`], [`transient`]), including whole transient/interval curves
+//!   from a single shared march ([`curve`], instrumented via
+//!   [`instrument`]),
+//! * deterministic parallel kernels behind the march, the only threaded
+//!   kernel ([`par`]): fixed row blocks over scoped threads, bit-identical
 //!   results at every thread count,
-//! * discrete-time chains ([`dtmc`]),
 //! * absorbing-chain analysis — mean time to absorption and absorption
 //!   probabilities — for reliability/MTTF questions ([`absorbing`]).
 //!
@@ -41,7 +41,6 @@ pub mod absorbing;
 pub mod ctmc;
 pub mod cumulative;
 pub mod curve;
-pub mod dtmc;
 pub mod error;
 pub mod instrument;
 pub mod par;
@@ -59,7 +58,6 @@ pub use curve::{
     cumulative_reward_curve, interval_availability_curve, uniformized_pass,
     uniformized_pass_with, PassOptions, PassOutput, PassStats,
 };
-pub use dtmc::{Dtmc, DtmcBuilder};
 pub use error::{MarkovError, Result};
-pub use solve::{dot, power_stationary_from, Method, SolveStats, SolverOptions};
+pub use solve::{dot, Method, SolveStats, SolverOptions};
 pub use sparse::{CooMatrix, CsrMatrix};

@@ -1,4 +1,4 @@
-//! Deterministic parallel kernels for the solver hot path.
+//! Deterministic parallel kernels for the uniformized march.
 //!
 //! Every kernel here honors one contract: **the thread count can never
 //! change a single output bit.** Three rules enforce it:
@@ -19,10 +19,11 @@
 //!
 //! Scoped `std::thread` workers are used — the workspace builds offline,
 //! so rayon is unavailable by design (see `crates/shims/`). A scope is
-//! spawned per kernel call (or per march step in
-//! [`crate::curve::uniformized_pass_with`]); spawn cost amortizes over the
-//! 100k-state matrices these kernels target, and `threads <= 1` takes a
-//! spawn-free serial path through the *same* block loop.
+//! spawned per march step in [`crate::curve::uniformized_pass_with`];
+//! spawn cost amortizes over the 100k-state matrices these kernels target,
+//! chains below [`MIN_PARALLEL_STATES`] march on one worker, and
+//! `threads <= 1` takes a spawn-free serial path through the *same* block
+//! loop.
 
 use crate::sparse::CsrMatrix;
 use std::ops::Range;
@@ -31,6 +32,15 @@ use std::ops::Range;
 /// any realistic machine busy while the per-block slices stay large enough
 /// to amortize scheduling.
 pub const MAX_BLOCKS: usize = 64;
+
+/// Chains with fewer states march on one worker whatever thread count is
+/// asked for: below this size a scoped spawn per step costs more than it
+/// saves. On a 2-core machine (random chains, ~5 nonzeros per row, 3,498
+/// steps) two workers took 4.7× the serial time per step at 1,024 states,
+/// 1.07× at 4,096, 0.83× at 8,192 and 0.67× from 16,384 on; a 4,350-state
+/// month-window march took 1.84 s on one worker and 1.91 s on two. The
+/// thread count never changes a result bit, so neither does this cutoff.
+pub const MIN_PARALLEL_STATES: usize = 8192;
 
 /// Number of fixed blocks for a vector of `len` elements:
 /// `min(len, MAX_BLOCKS)` — every block is non-empty.
@@ -143,26 +153,6 @@ pub(crate) fn run_jobs(jobs: Vec<Job<'_>>, threads: usize) {
     });
 }
 
-/// Row-block-partitioned `y = A · x` over `threads` scoped workers
-/// (0 = one per core, 1 = serial).
-///
-/// Per output element this performs exactly the per-row dot of
-/// [`CsrMatrix::mul_vec_into`], so results are bit-identical to the serial
-/// method at every thread count.
-///
-/// # Panics
-///
-/// Panics on dimension mismatches, like [`CsrMatrix::mul_vec_into`].
-pub fn mul_vec_into(a: &CsrMatrix, x: &[f64], y: &mut [f64], threads: usize) {
-    assert_eq!(x.len(), a.ncols(), "dimension mismatch");
-    assert_eq!(y.len(), a.nrows(), "dimension mismatch");
-    let jobs: Vec<Job<'_>> = split_blocks(y)
-        .into_iter()
-        .map(|(start_row, out)| Job::MulVec { a, x, start_row, out })
-        .collect();
-    run_jobs(jobs, threads);
-}
-
 /// Sum of `x` in fixed block order: serial partial sums per block, partials
 /// combined in ascending block order. The result depends only on `x.len()`
 /// and the values — never on a thread count — so callers can normalize
@@ -239,7 +229,11 @@ mod tests {
         a.mul_vec_into(&x, &mut serial);
         for threads in [1usize, 2, 3, 4, 8, 64] {
             let mut parallel = vec![0.0; 97];
-            mul_vec_into(&a, &x, &mut parallel, threads);
+            let jobs = split_blocks(&mut parallel)
+                .into_iter()
+                .map(|(start_row, out)| Job::MulVec { a: &a, x: &x, start_row, out })
+                .collect();
+            run_jobs(jobs, threads);
             assert_eq!(parallel, serial, "threads = {threads}");
         }
     }

@@ -5,17 +5,14 @@
 //! into the more familiar `Qᵀ πᵀ = 0`, a singular system whose one-dimensional
 //! null space is pinned down by the normalization constraint.
 //!
-//! Three families of methods are provided:
+//! Two methods are provided:
 //!
-//! * **Power method** on the uniformized DTMC `P = I + Q/Λ` — robust,
-//!   memory-light, geometric convergence governed by the subdominant
-//!   eigenvalue.
-//! * **Stationary iterations** (Jacobi, Gauss–Seidel, SOR) on `Qᵀ x = 0` —
-//!   usually far fewer iterations than power for stiff dependability models
-//!   (rates spanning `1/minutes` to `1/centuries`).
+//! * **Gauss–Seidel sweeps** on `Qᵀ x = 0` — the default, and the method
+//!   every bundled workload solves with: few sweeps on stiff dependability
+//!   models (rates spanning `1/minutes` to `1/centuries`), O(nnz) memory.
 //! * **Dense direct elimination** with partial pivoting for small chains —
-//!   used as ground truth in tests and for models below a few thousand
-//!   states.
+//!   the ground truth in tests and the fallback when Gauss–Seidel stalls
+//!   on a chain of at most a few thousand states.
 
 use crate::error::{MarkovError, Result};
 use crate::par;
@@ -29,8 +26,6 @@ pub struct SolverOptions {
     /// Convergence tolerance on the max-norm of successive-iterate deltas
     /// (relative to the iterate's max entry).
     pub tolerance: f64,
-    /// Relaxation factor for [`Method::Sor`]; ignored by other methods.
-    pub relaxation: f64,
     /// Check convergence every `check_every` sweeps.
     pub check_every: usize,
     /// If the iteration budget runs out but the relative delta is already
@@ -41,23 +36,18 @@ pub struct SolverOptions {
     /// Set to 0 to always fail on budget exhaustion. Note the criterion is
     /// delta-based: for nearly-completely-decomposable chains the true
     /// error can exceed the last delta, so results accepted this way carry
-    /// their achieved residual in [`SolveStats`] for the caller to judge.
+    /// their achieved residual in [`SolveStats`] for the caller to judge,
+    /// are marked `loose` on the `stationary_solve` span and are counted in
+    /// [`crate::instrument::loose_accepts`].
     pub accept_loose: f64,
-    /// Worker threads for the parallel kernels (the uniformized march and
-    /// the power method): `0` (the default) means one per available core,
-    /// `1` forces the serial path. A pure scheduling knob — results are
-    /// bit-identical at every value (see [`crate::par`]) and it is
-    /// excluded from evaluation-cache identity. Sweep-based methods
-    /// (Jacobi/Gauss–Seidel/SOR) are inherently sequential and ignore it.
+    /// Worker threads for the uniformized march
+    /// ([`crate::curve::uniformized_pass_with`]), the only threaded kernel:
+    /// `0` (the default) means one per available core, `1` forces the
+    /// serial path. A pure scheduling knob — results are bit-identical at
+    /// every value (see [`crate::par`]) and it is excluded from
+    /// evaluation-cache identity. Gauss–Seidel sweeps are inherently
+    /// sequential and ignore it.
     pub threads: usize,
-}
-
-impl SolverOptions {
-    /// The effective worker count: `threads`, with `0` resolved to one per
-    /// available core.
-    pub fn resolved_threads(&self) -> usize {
-        par::resolve_threads(self.threads)
-    }
 }
 
 impl Default for SolverOptions {
@@ -65,7 +55,6 @@ impl Default for SolverOptions {
         SolverOptions {
             max_iterations: 200_000,
             tolerance: 1e-12,
-            relaxation: 1.0,
             check_every: 8,
             accept_loose: 1e-7,
             threads: 0,
@@ -76,29 +65,39 @@ impl Default for SolverOptions {
 /// Steady-state solution method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Method {
-    /// Power iteration on the uniformized chain.
-    Power,
-    /// Jacobi sweeps on `Qᵀx = 0`.
-    Jacobi,
     /// Gauss–Seidel sweeps on `Qᵀx = 0` (default).
     #[default]
     GaussSeidel,
-    /// Successive over-relaxation with [`SolverOptions::relaxation`].
-    Sor,
     /// Dense LU-style elimination; exact up to rounding, `O(n³)`.
     Direct,
 }
 
+impl Method {
+    /// The method's name: the `--solver` value, the cache store's
+    /// `solver_method` and the `method` span attribute.
+    pub fn name(self) -> &'static str {
+        match self {
+            Method::GaussSeidel => "gauss-seidel",
+            Method::Direct => "direct",
+        }
+    }
+}
+
 impl std::fmt::Display for Method {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            Method::Power => "power",
-            Method::Jacobi => "jacobi",
-            Method::GaussSeidel => "gauss-seidel",
-            Method::Sor => "sor",
-            Method::Direct => "direct",
-        };
-        f.write_str(name)
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for Method {
+    type Err = String;
+
+    /// Parses a [`Method::name`]; the error names every valid method.
+    fn from_str(s: &str) -> std::result::Result<Method, String> {
+        [Method::GaussSeidel, Method::Direct]
+            .into_iter()
+            .find(|m| m.name() == s)
+            .ok_or_else(|| format!("unknown solver {s:?} (gauss-seidel or direct)"))
     }
 }
 
@@ -189,111 +188,19 @@ fn max_abs_delta(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
 }
 
-/// Power iteration for `π = π P` on a stochastic matrix `P` (rows sum to 1).
+/// Gauss–Seidel sweeps solving `A x = 0`, `Σx = 1` where `A` is expected to
+/// be `Qᵀ` of an irreducible generator (strictly negative diagonal,
+/// non-negative off-diagonals, columns of `Q` summing to zero).
 ///
-/// `pi0` seeds the iteration; it is normalized internally.
-///
-/// The multiply `y = x·P` runs as `y = Pᵀ·x` through the row-block
-/// kernel ([`par::mul_vec_into`]) over [`SolverOptions::threads`] workers:
-/// `P` is transposed once up front, and because the transpose preserves
-/// ascending source-row order within each transposed row, every output
-/// element accumulates its terms in the same order the serial scatter
-/// used — results are bit-identical at every thread count.
-pub fn power_stationary(
-    p: &CsrMatrix,
-    pi0: &[f64],
-    opts: &SolverOptions,
-) -> Result<(Vec<f64>, SolveStats)> {
-    let n = p.nrows();
-    if p.ncols() != n {
-        return Err(MarkovError::NotSquare { nrows: n, ncols: p.ncols() });
-    }
-    if pi0.len() != n {
-        return Err(MarkovError::DimensionMismatch { expected: n, got: pi0.len() });
-    }
-    let pt = p.transpose();
-    let mut x = pi0.to_vec();
-    normalize(&mut x);
-    let mut y = vec![0.0; n];
-    let mut last_delta = f64::INFINITY;
-    for it in 1..=opts.max_iterations {
-        par::mul_vec_into(&pt, &x, &mut y, opts.threads);
-        normalize(&mut y);
-        if it % opts.check_every == 0 || it == opts.max_iterations {
-            last_delta = max_abs_delta(&x, &y);
-            let scale = y.iter().cloned().fold(0.0, f64::max).max(1e-300);
-            if last_delta / scale <= opts.tolerance {
-                std::mem::swap(&mut x, &mut y);
-                if !sanitize_distribution(&mut x, 1e-6) {
-                    return Err(MarkovError::NotConverged {
-                        method: Method::Power,
-                        iterations: it,
-                        residual: last_delta,
-                    });
-                }
-                return Ok((
-                    x,
-                    SolveStats { iterations: it, residual: last_delta, method: Method::Power },
-                ));
-            }
-        }
-        std::mem::swap(&mut x, &mut y);
-    }
-    let scale = x.iter().cloned().fold(0.0, f64::max).max(1e-300);
-    if opts.accept_loose > 0.0
-        && last_delta / scale <= opts.accept_loose
-        && sanitize_distribution(&mut x, 1e-6)
-    {
-        return Ok((
-            x,
-            SolveStats {
-                iterations: opts.max_iterations,
-                residual: last_delta,
-                method: Method::Power,
-            },
-        ));
-    }
-    Err(MarkovError::NotConverged {
-        method: Method::Power,
-        iterations: opts.max_iterations,
-        residual: last_delta,
-    })
-}
-
-/// Warm-started power iteration: like [`power_stationary`] but seeded with
-/// a neighboring solution `guess` and checking convergence after **every**
-/// multiply (`check_every = 1`) instead of every `opts.check_every`-th.
-///
-/// A cold solve batches its convergence checks because early iterates are
-/// nowhere near the fixed point; a warm start's whole premise is that the
-/// seed is already close, so eager checking is what lets an exact seed
-/// converge after a single multiply and a near-exact seed stop the moment
-/// it is inside tolerance. The result is deterministic given the same
-/// guess, matrix, and options, and agrees with a cold
-/// [`power_stationary`] within the solver tolerance — **not** bit-exactly,
-/// which is why warm starts are kept off cached/golden evaluation paths
-/// (iteration counts and last-bit noise would leak into pinned reports).
-///
-/// # Errors
-///
-/// As [`power_stationary`].
-pub fn power_stationary_from(
-    p: &CsrMatrix,
-    guess: &[f64],
-    opts: &SolverOptions,
-) -> Result<(Vec<f64>, SolveStats)> {
-    power_stationary(p, guess, &SolverOptions { check_every: 1, ..*opts })
-}
-
-/// Gauss–Seidel / SOR / Jacobi sweeps solving `A x = 0`, `Σx = 1` where `A`
-/// is expected to be `Qᵀ` of an irreducible generator (strictly negative
-/// diagonal, non-negative off-diagonals, columns of `Q` summing to zero).
+/// A result taken through [`SolverOptions::accept_loose`] after the budget
+/// ran out sets `loose = true` on the enclosing trace span and is counted
+/// in [`crate::instrument::loose_accepts`].
 pub fn stationary_iteration(
     a: &CsrMatrix,
     x0: &[f64],
-    method: Method,
     opts: &SolverOptions,
 ) -> Result<(Vec<f64>, SolveStats)> {
+    let method = Method::GaussSeidel;
     let n = a.nrows();
     if a.ncols() != n {
         return Err(MarkovError::NotSquare { nrows: n, ncols: a.ncols() });
@@ -301,22 +208,11 @@ pub fn stationary_iteration(
     if x0.len() != n {
         return Err(MarkovError::DimensionMismatch { expected: n, got: x0.len() });
     }
-    let omega = match method {
-        Method::Jacobi => 1.0,
-        Method::GaussSeidel => 1.0,
-        Method::Sor => {
-            if !(0.0 < opts.relaxation && opts.relaxation < 2.0) {
-                return Err(MarkovError::BadRelaxation(opts.relaxation));
-            }
-            opts.relaxation
-        }
-        other => {
-            return Err(MarkovError::UnsupportedMethod {
-                method: other,
-                context: "stationary_iteration",
-            })
-        }
-    };
+    // A one-state chain has a zero diagonal and is its own stationary
+    // distribution.
+    if n == 1 {
+        return Ok((vec![1.0], SolveStats { iterations: 0, residual: 0.0, method }));
+    }
     // Pre-extract diagonal; a zero diagonal entry means an absorbing state,
     // which has no unique normalized stationary vector under this solver.
     let mut diag = vec![0.0; n];
@@ -329,41 +225,20 @@ pub fn stationary_iteration(
     }
     let mut x = x0.to_vec();
     normalize(&mut x);
-    let jacobi = matches!(method, Method::Jacobi);
     let mut prev = vec![0.0; n];
     let mut last_delta = f64::INFINITY;
     for it in 1..=opts.max_iterations {
         prev.copy_from_slice(&x);
-        if jacobi {
-            // Damped Jacobi: x_i <- (1-d)·prev_i + d·(-(Σ_{j≠i} a_ij prev_j)/a_ii).
-            // Undamped Jacobi has iteration-matrix eigenvalues on the unit
-            // circle for singular M-matrix systems (e.g. two-state chains
-            // oscillate with period 2); damping pulls them strictly inside.
-            const JACOBI_DAMPING: f64 = 0.75;
-            for i in 0..n {
-                let (cols, vals) = a.row(i);
-                let mut acc = 0.0;
-                for (c, v) in cols.iter().zip(vals) {
-                    let j = *c as usize;
-                    if j != i {
-                        acc += v * prev[j];
-                    }
+        for i in 0..n {
+            let (cols, vals) = a.row(i);
+            let mut acc = 0.0;
+            for (c, v) in cols.iter().zip(vals) {
+                let j = *c as usize;
+                if j != i {
+                    acc += v * x[j];
                 }
-                x[i] = (1.0 - JACOBI_DAMPING) * prev[i] + JACOBI_DAMPING * (-acc / diag[i]);
             }
-        } else {
-            for i in 0..n {
-                let (cols, vals) = a.row(i);
-                let mut acc = 0.0;
-                for (c, v) in cols.iter().zip(vals) {
-                    let j = *c as usize;
-                    if j != i {
-                        acc += v * x[j];
-                    }
-                }
-                let gs = -acc / diag[i];
-                x[i] = (1.0 - omega) * x[i] + omega * gs;
-            }
+            x[i] = -acc / diag[i];
         }
         normalize(&mut x);
         if it % opts.check_every == 0 || it == opts.max_iterations {
@@ -386,6 +261,8 @@ pub fn stationary_iteration(
         && last_delta / scale <= opts.accept_loose
         && sanitize_distribution(&mut x, 1e-6)
     {
+        crate::instrument::count_loose_accept();
+        dtc_obs::trace::attr_bool("loose", true);
         return Ok((
             x,
             SolveStats { iterations: opts.max_iterations, residual: last_delta, method },
@@ -547,13 +424,8 @@ mod tests {
     fn gauss_seidel_matches_direct() {
         let q = two_state(0.001, 1.0); // stiff
         let qt = q.transpose();
-        let (pi, _) = stationary_iteration(
-            &qt,
-            &[0.5, 0.5],
-            Method::GaussSeidel,
-            &SolverOptions::default(),
-        )
-        .unwrap();
+        let (pi, _) =
+            stationary_iteration(&qt, &[0.5, 0.5], &SolverOptions::default()).unwrap();
         let (exact, _) = direct_stationary(&q).unwrap();
         for (a, b) in pi.iter().zip(&exact) {
             assert!((a - b).abs() < 1e-9, "{pi:?} vs {exact:?}");
@@ -561,36 +433,12 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_and_sor_match_direct() {
-        let q = two_state(5.0, 7.0);
-        let qt = q.transpose();
-        let (exact, _) = direct_stationary(&q).unwrap();
-        for method in [Method::Jacobi, Method::Sor] {
-            let opts = SolverOptions { relaxation: 1.1, ..Default::default() };
-            let (pi, stats) = stationary_iteration(&qt, &[1.0, 0.0], method, &opts).unwrap();
-            for (a, b) in pi.iter().zip(&exact) {
-                assert!((a - b).abs() < 1e-9, "method {method:?}: {pi:?} vs {exact:?}");
-            }
-            assert!(stats.iterations > 0);
-        }
-    }
-
-    #[test]
-    fn power_on_uniformized_chain() {
-        let q = two_state(1.0, 4.0);
-        // P = I + Q/Λ with Λ = 5.
-        let mut p = q.clone();
-        p.scale(1.0 / 5.0);
-        let mut coo = CooMatrix::new(2, 2);
-        for (i, j, v) in p.iter() {
-            coo.push(i, j, v);
-        }
-        coo.push(0, 0, 1.0);
-        coo.push(1, 1, 1.0);
-        let p = CsrMatrix::from_coo(&coo);
-        let (pi, _) = power_stationary(&p, &[1.0, 0.0], &SolverOptions::default()).unwrap();
-        assert!((pi[0] - 0.8).abs() < 1e-9, "pi={pi:?}");
-        assert!((pi[1] - 0.2).abs() < 1e-9);
+    fn one_state_chain_is_its_own_stationary_distribution() {
+        let q = CsrMatrix::from_coo(&CooMatrix::new(1, 1));
+        let (pi, stats) = stationary_iteration(&q, &[1.0], &SolverOptions::default()).unwrap();
+        assert_eq!(pi, vec![1.0]);
+        assert_eq!(stats.method, Method::GaussSeidel);
+        assert_eq!(direct_stationary(&q).unwrap().0, pi);
     }
 
     #[test]
@@ -611,23 +459,9 @@ mod tests {
         // state 1 absorbing -> zero diagonal in Qᵀ row 1? Qᵀ[1][1] = Q[1][1] = 0.
         let q = CsrMatrix::from_coo(&coo);
         let qt = q.transpose();
-        let err = stationary_iteration(
-            &qt,
-            &[0.5, 0.5],
-            Method::GaussSeidel,
-            &SolverOptions::default(),
-        )
-        .unwrap_err();
+        let err =
+            stationary_iteration(&qt, &[0.5, 0.5], &SolverOptions::default()).unwrap_err();
         assert!(matches!(err, MarkovError::ZeroDiagonal { state: 1 }));
-    }
-
-    #[test]
-    fn sor_rejects_bad_relaxation() {
-        let q = two_state(1.0, 1.0);
-        let qt = q.transpose();
-        let opts = SolverOptions { relaxation: 2.5, ..Default::default() };
-        let err = stationary_iteration(&qt, &[0.5, 0.5], Method::Sor, &opts).unwrap_err();
-        assert!(matches!(err, MarkovError::BadRelaxation(_)));
     }
 
     #[test]
@@ -748,30 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn power_is_bit_identical_across_thread_counts() {
-        let q = two_state(1.0, 4.0);
-        let mut p = q.clone();
-        p.scale(1.0 / 5.0);
-        let mut coo = CooMatrix::new(2, 2);
-        for (i, j, v) in p.iter() {
-            coo.push(i, j, v);
-        }
-        coo.push(0, 0, 1.0);
-        coo.push(1, 1, 1.0);
-        let p = CsrMatrix::from_coo(&coo);
-        let serial = {
-            let opts = SolverOptions { threads: 1, ..Default::default() };
-            power_stationary(&p, &[1.0, 0.0], &opts).unwrap()
-        };
-        for threads in [2usize, 4, 8] {
-            let opts = SolverOptions { threads, ..Default::default() };
-            let (pi, stats) = power_stationary(&p, &[1.0, 0.0], &opts).unwrap();
-            assert_eq!(pi, serial.0, "threads={threads}");
-            assert_eq!(stats.iterations, serial.1.iterations);
-        }
-    }
-
-    #[test]
     fn five_state_birth_death_all_methods_agree() {
         // Birth-death chain with distinct rates; closed form via detailed balance.
         let n = 5;
@@ -803,12 +613,22 @@ mod tests {
             assert!((a - b).abs() < 1e-12);
         }
         let qt = q.transpose();
-        for m in [Method::Jacobi, Method::GaussSeidel, Method::Sor] {
-            let opts = SolverOptions { relaxation: 1.2, ..Default::default() };
-            let (pi, _) = stationary_iteration(&qt, &vec![1.0; n], m, &opts).unwrap();
-            for (a, b) in pi.iter().zip(&expect) {
-                assert!((a - b).abs() < 1e-8, "method {m:?}");
-            }
+        let (pi, _) =
+            stationary_iteration(&qt, &vec![1.0; n], &SolverOptions::default()).unwrap();
+        for (a, b) in pi.iter().zip(&expect) {
+            assert!((a - b).abs() < 1e-8, "{pi:?} vs {expect:?}");
+        }
+    }
+
+    #[test]
+    fn method_names_round_trip_and_retired_names_are_rejected() {
+        for m in [Method::GaussSeidel, Method::Direct] {
+            assert_eq!(m.name().parse::<Method>(), Ok(m));
+            assert_eq!(m.to_string(), m.name());
+        }
+        for retired in ["power", "jacobi", "sor", "nope"] {
+            let err = retired.parse::<Method>().unwrap_err();
+            assert!(err.contains("gauss-seidel") && err.contains("direct"), "{err}");
         }
     }
 }

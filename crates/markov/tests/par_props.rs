@@ -2,18 +2,21 @@
 //!
 //! The contract under test is **bit-identity**, not closeness: for random
 //! CTMCs — including unsorted/duplicate/zero time points and chains large
-//! enough to put many elements in each fixed block — every solver output at
+//! enough to put many elements in each fixed block — every march output at
 //! `threads ∈ {1, 2, 4, 8}` (plus whatever `DTC_TEST_THREADS` adds; CI runs
-//! a 1/2/8 matrix) must equal the serial path to the last bit. Only the
-//! reward-projection mode is held to a 1e-12 tolerance against the
-//! full-vector mode, because projection intentionally skips the final
-//! defensive renormalization.
+//! a 1/2/8 matrix) must equal the serial path to the last bit. Chains below
+//! `par::MIN_PARALLEL_STATES` march on one worker whatever the thread
+//! count, so one test marches chains above that cutoff to keep the
+//! threaded path under test. Only the reward-projection mode is held to a
+//! 1e-12 tolerance against the full-vector mode, because projection
+//! intentionally skips the final defensive renormalization.
 //!
 //! Seeded SplitMix64 keeps cases deterministic across runs (the external
 //! `proptest` crate is unavailable offline).
 
 use dtc_markov::curve::{uniformized_pass_with, PassOptions, PassOutput};
-use dtc_markov::{dot, par, Ctmc, CtmcBuilder, Method, SolverOptions};
+use dtc_markov::{dot, par, Ctmc, CtmcBuilder};
+use dtc_obs::trace::{install, AttrValue, TraceContext, TraceId};
 
 /// Deterministic pseudo-random stream (SplitMix64).
 struct Gen(u64);
@@ -47,6 +50,11 @@ impl Gen {
         } else {
             self.usize_in(par::MAX_BLOCKS + 1, 3 * par::MAX_BLOCKS + 5)
         };
+        self.ctmc_of_size(n)
+    }
+
+    /// A random irreducible CTMC with exactly `n` states.
+    fn ctmc_of_size(&mut self, n: usize) -> Ctmc {
         let mut b = CtmcBuilder::new(n);
         for i in 0..n {
             b.rate(i, (i + 1) % n, self.f64_in(0.05, 5.0));
@@ -221,57 +229,69 @@ fn projection_bit_identical_across_threads_and_close_to_full_vector() {
 }
 
 #[test]
-fn power_method_bit_identical_across_thread_counts() {
+fn march_above_serial_cutoff_bit_identical_across_thread_counts() {
     let counts = thread_counts();
-    let mut g = Gen(0x50_0E_12);
-    for case in 0..CASES {
-        let c = g.ctmc();
-        let serial = c
-            .steady_state_with(
-                Method::Power,
-                &SolverOptions { threads: 1, ..Default::default() },
-            )
-            .unwrap();
+    let mut g = Gen(0x7A11_C0DE);
+    for case in 0..3 {
+        let n = par::MIN_PARALLEL_STATES + g.usize_in(1, 2 * par::MAX_BLOCKS);
+        let c = g.ctmc_of_size(n);
+        let pi0 = g.pi0(n);
+        // Short horizons keep the march to a few hundred steps.
+        let times = [0.5, 0.0, 1.5, 0.5];
+        let horizons = [1.0, 2.0];
+        let reward: Vec<f64> = (0..n).map(|_| g.f64_in(0.0, 1.0)).collect();
+        let run = |threads: usize, point_reward: Option<&[f64]>| {
+            let opts = PassOptions { threads, point_reward };
+            uniformized_pass_with(&c, &pi0, &times, &horizons, &reward, &opts).unwrap()
+        };
+        let (serial, serial_proj) = (run(1, None), run(1, Some(&reward)));
         for &threads in &counts[1..] {
-            let opts = SolverOptions { threads, ..Default::default() };
-            let parallel = c.steady_state_with(Method::Power, &opts).unwrap();
-            assert_eq!(
-                bits(&serial.0),
-                bits(&parallel.0),
-                "case {case}, threads = {threads}: stationary vector differs"
-            );
-            assert_eq!(serial.1.iterations, parallel.1.iterations, "case {case}");
+            let context = format!("case {case} (n = {n}), threads = {threads}");
+            assert_pass_bits_equal(&serial, &run(threads, None), &context);
+            assert_pass_bits_equal(&serial_proj, &run(threads, Some(&reward)), &context);
         }
     }
 }
 
+/// The worker count a one-point pass over `c` records on its `march` span.
+fn march_workers(c: &Ctmc, threads: usize) -> AttrValue {
+    let ctx = TraceContext::new(TraceId::generate());
+    {
+        let _installed = install(&ctx);
+        let mut pi0 = vec![0.0; c.num_states()];
+        pi0[0] = 1.0;
+        let opts = PassOptions { threads, ..Default::default() };
+        uniformized_pass_with(c, &pi0, &[0.1], &[], &[], &opts).unwrap();
+    }
+    let march = ctx.snapshot().spans.into_iter().find(|s| s.name == "march").expect("a march");
+    march.attrs.into_iter().find(|(k, _)| k == "threads").expect("threads attr").1
+}
+
 #[test]
-fn spmv_and_dot_kernels_bit_identical_on_generators() {
+fn small_chains_march_on_one_worker_large_ones_on_the_requested_count() {
+    let mut g = Gen(0x0C07_0FF5);
+    let small = g.ctmc_of_size(par::MIN_PARALLEL_STATES - 1);
+    let large = g.ctmc_of_size(par::MIN_PARALLEL_STATES);
+    for threads in [2usize, 4] {
+        assert_eq!(march_workers(&small, threads), AttrValue::Int(1), "threads = {threads}");
+        assert_eq!(march_workers(&large, threads), AttrValue::Int(threads as i64));
+    }
+}
+
+#[test]
+fn blocked_dot_bit_identical_on_generator_sized_vectors() {
     let counts = thread_counts();
     let mut g = Gen(0x5EED_CAFE);
     for case in 0..CASES {
-        let c = g.ctmc();
-        let n = c.num_states();
-        let q = c.generator();
+        let n = g.ctmc().num_states();
         let x = g.pi0(n);
-        let mut serial = vec![0.0; n];
-        // Generators have negative diagonals: the kernel contract must not
-        // depend on sign.
-        q.mul_vec_into(&x, &mut serial);
         let r: Vec<f64> = (0..n).map(|_| g.f64_in(-1.0, 1.0)).collect();
         let dot1 = par::blocked_dot(&x, &r, 1);
         for &threads in &counts {
-            let mut parallel = vec![f64::NAN; n];
-            par::mul_vec_into(q, &x, &mut parallel, threads);
-            assert_eq!(
-                bits(&serial),
-                bits(&parallel),
-                "case {case} (n = {n}), threads = {threads}: SpMV differs"
-            );
             assert_eq!(
                 dot1.to_bits(),
                 par::blocked_dot(&x, &r, threads).to_bits(),
-                "case {case}, threads = {threads}: blocked dot differs"
+                "case {case} (n = {n}), threads = {threads}: blocked dot differs"
             );
         }
     }

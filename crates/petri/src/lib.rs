@@ -10,7 +10,8 @@
 //! tangible reachability exploration with on-the-fly vanishing-marking
 //! elimination ([`reach::explore`]), export to a CTMC (solved by
 //! [`dtc_markov`]), and metric evaluation `P{expr}` / `E{#p}` over the
-//! steady-state or transient distribution.
+//! steady-state distribution (transient curves march the exported CTMC
+//! through [`dtc_markov::curve`]).
 //!
 //! # Example: the paper's SIMPLE_COMPONENT
 //!

@@ -289,19 +289,6 @@ impl TangibleGraph {
         Ok(Solution { graph: self, pi, stats })
     }
 
-    /// Warm-started steady-state solve: power iteration seeded with a
-    /// neighboring graph's solution vector (tolerance-equal to a cold
-    /// solve, typically in far fewer iterations — see
-    /// [`dtc_markov::solve::power_stationary_from`]).
-    pub fn solve_power_from(
-        &self,
-        guess: &[f64],
-        opts: &SolverOptions,
-    ) -> Result<Solution<'_>> {
-        let (pi, stats) = self.ctmc.steady_state_power_from(guess, opts)?;
-        Ok(Solution { graph: self, pi, stats })
-    }
-
     /// The initial distribution as a dense vector over tangible states.
     pub fn initial_pi0(&self) -> Vec<f64> {
         let mut pi0 = vec![0.0; self.num_states()];
@@ -309,33 +296,6 @@ impl TangibleGraph {
             pi0[i] = p;
         }
         pi0
-    }
-
-    /// Transient distribution over tangible states at time `t`.
-    pub fn transient(&self, t: f64) -> Result<Solution<'_>> {
-        let pi = self.ctmc.transient(&self.initial_pi0(), t)?;
-        Ok(Solution {
-            graph: self,
-            pi,
-            stats: SolveStats { iterations: 0, residual: 0.0, method: Method::Power },
-        })
-    }
-
-    /// Transient distributions at every time in `times` from **one**
-    /// uniformization pass (one matrix build, one power march — see
-    /// [`dtc_markov::curve`]). Times may be unsorted, duplicated, or zero;
-    /// solutions come back in caller order, each bit-identical to the
-    /// corresponding [`TangibleGraph::transient`] call.
-    pub fn transient_curve(&self, times: &[f64]) -> Result<Vec<Solution<'_>>> {
-        let curves = self.ctmc.transient_curve(&self.initial_pi0(), times)?;
-        Ok(curves
-            .into_iter()
-            .map(|pi| Solution {
-                graph: self,
-                pi,
-                stats: SolveStats { iterations: 0, residual: 0.0, method: Method::Power },
-            })
-            .collect())
     }
 }
 
@@ -942,44 +902,6 @@ mod tests {
         assert_eq!(approx.num_states(), exact.num_states() + 1);
         let approx_p = approx.solve().unwrap().probability(&IntExpr::tokens(pa).gt(0));
         assert!((exact_p - approx_p).abs() < 1e-5, "{exact_p} vs {approx_p}");
-    }
-
-    #[test]
-    fn transient_approaches_steady_state() {
-        let net = simple(100.0, 1.0);
-        let g = explore(&net, &ReachOptions::default()).unwrap();
-        let on = net.place("ON").unwrap();
-        let expr = IntExpr::tokens(on).gt(0);
-        let t0 = g.transient(0.0).unwrap().probability(&expr);
-        assert!((t0 - 1.0).abs() < 1e-12);
-        let t_inf = g.transient(1e5).unwrap().probability(&expr);
-        let ss = g.solve().unwrap().probability(&expr);
-        assert!((t_inf - ss).abs() < 1e-6);
-    }
-
-    #[test]
-    fn transient_curve_matches_per_point_in_caller_order() {
-        let net = simple(100.0, 1.0);
-        let g = explore(&net, &ReachOptions::default()).unwrap();
-        let on = net.place("ON").unwrap();
-        let expr = IntExpr::tokens(on).gt(0);
-        // Unsorted, with a duplicate and a zero — the pinned contract.
-        let times = [500.0, 0.0, 10.0, 500.0];
-        let curve = g.transient_curve(&times).unwrap();
-        assert_eq!(curve.len(), times.len());
-        for (&t, sol) in times.iter().zip(&curve) {
-            let reference = g.transient(t).unwrap();
-            assert_eq!(
-                sol.probabilities(),
-                reference.probabilities(),
-                "t = {t}: curve must match the per-point solver exactly"
-            );
-        }
-        assert!(
-            (curve[1].probability(&expr) - 1.0).abs() < 1e-12,
-            "t = 0 is the initial state"
-        );
-        assert_eq!(curve[0].probabilities(), curve[3].probabilities(), "duplicates agree");
     }
 
     #[test]

@@ -14,15 +14,19 @@
 //! only move tokens toward higher place indices so vanishing cascades are
 //! acyclic and elimination always terminates.
 //!
-//! Solves of the re-rated graphs run at every `thread_counts()` entry
-//! (`{1, 2, 4, 8}` plus whatever `DTC_TEST_THREADS` adds; CI runs a 1/2/8
-//! matrix), pinning that structure sharing composes with the deterministic
-//! parallel kernels bit for bit.
+//! Re-rated and explored graphs must also solve to the same bits: the
+//! Gauss–Seidel steady state, and the uniformized march at every
+//! `thread_counts()` entry (`{1, 2, 4, 8}` plus whatever `DTC_TEST_THREADS`
+//! adds; CI runs a 1/2/8 matrix), pinning that structure sharing composes
+//! with the deterministic parallel kernels bit for bit. Chains below
+//! `dtc_markov::par::MIN_PARALLEL_STATES` march on one worker, so one
+//! test re-rates a net above that size to keep the threaded path covered.
 //!
 //! Seeded SplitMix64 keeps cases deterministic across runs (the external
 //! `proptest` crate is unavailable offline).
 
-use dtc_markov::{Method, SolverOptions};
+use dtc_markov::curve::{uniformized_pass_with, PassOptions, PassOutput};
+use dtc_markov::par;
 use dtc_petri::model::{PetriNet, PetriNetBuilder, ServerSemantics};
 use dtc_petri::reach::{
     explore, explore_from, structural_fingerprint, ExploreStats, ReachOptions, TangibleGraph,
@@ -184,35 +188,88 @@ fn re_rate_is_bitwise_identical_to_fresh_explore_on_random_nets() {
             );
 
             // Structure sharing composes with the deterministic parallel
-            // solver kernels: same probabilities at every thread count,
-            // bit for bit, whether the graph was explored or re-rated.
+            // march: same bits at every thread count, whether the graph was
+            // explored or re-rated.
+            let context = format!("case {case} variant {variant}");
+            assert_march_bits_agree(&rerated, &fresh, &context);
+
+            // And the steady solve cannot tell them apart either.
             if !rerated.is_irreducible() {
                 continue;
             }
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-            let mut reference: Option<Vec<u64>> = None;
-            for threads in thread_counts() {
-                let sopts = SolverOptions { threads, ..SolverOptions::default() };
-                let warm = rerated.solve_with(Method::Power, &sopts).unwrap();
-                let cold = fresh.solve_with(Method::Power, &sopts).unwrap();
-                assert_eq!(
-                    bits(warm.probabilities()),
-                    bits(cold.probabilities()),
-                    "case {case} variant {variant} threads {threads}: solve must not \
-                     distinguish re-rated from explored graphs"
-                );
-                let probs = bits(warm.probabilities());
-                match &reference {
-                    None => reference = Some(probs),
-                    Some(r) => assert_eq!(
-                        r, &probs,
-                        "case {case} variant {variant} threads {threads}: thread count \
-                         changed the solution"
-                    ),
-                }
-            }
+            let warm = rerated.solve().unwrap();
+            let cold = fresh.solve().unwrap();
+            assert_eq!(
+                bits(warm.probabilities()),
+                bits(cold.probabilities()),
+                "{context}: solve must not distinguish re-rated from explored graphs"
+            );
         }
     }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// One uniformized pass over `g` at `threads` workers: two transient
+/// points and one cumulative horizon of the place-0-marked reward.
+fn march(g: &TangibleGraph, threads: usize) -> PassOutput {
+    let reward: Vec<f64> =
+        (0..g.num_states()).map(|i| if g.marking(i)[0] > 0 { 1.0 } else { 0.0 }).collect();
+    let opts = PassOptions { threads, ..PassOptions::default() };
+    uniformized_pass_with(g.ctmc(), &g.initial_pi0(), &[0.5, 0.2], &[0.4], &reward, &opts)
+        .unwrap()
+}
+
+/// The re-rated and the explored graph march to the same bits at every
+/// thread count, and the thread count changes nothing.
+fn assert_march_bits_agree(rerated: &TangibleGraph, fresh: &TangibleGraph, context: &str) {
+    let outputs = |p: &PassOutput| {
+        let mut v: Vec<Vec<u64>> = p.distributions.iter().map(|d| bits(d)).collect();
+        v.push(bits(&p.cumulative));
+        v
+    };
+    let reference = outputs(&march(fresh, 1));
+    for threads in thread_counts() {
+        assert_eq!(
+            outputs(&march(rerated, threads)),
+            reference,
+            "{context} threads {threads}: re-rated march differs from the explored serial one"
+        );
+        assert_eq!(
+            outputs(&march(fresh, threads)),
+            reference,
+            "{context} threads {threads}: thread count changed the march"
+        );
+    }
+}
+
+#[test]
+fn re_rated_march_above_the_serial_cutoff_is_bitwise_identical() {
+    // 20 tokens over 5 places: C(24, 4) = 10,626 tangible states, past
+    // the size below which the march runs on one worker.
+    let shape = Shape {
+        initial: vec![20, 0, 0, 0, 0],
+        timed: vec![
+            (0, 1, true),
+            (1, 2, true),
+            (2, 3, true),
+            (3, 4, true),
+            (4, 0, true),
+            (0, 2, false),
+        ],
+        immediate: Vec::new(),
+    };
+    let mut g = Gen(0x5EED_0003);
+    let opts = ReachOptions::default();
+    let graph = explore(&shape.build(&shape.rates(&mut g)), &opts).unwrap();
+    assert!(graph.num_states() >= par::MIN_PARALLEL_STATES, "{} states", graph.num_states());
+    let sibling = shape.build(&shape.rates(&mut g));
+    let rerated = graph.structure().re_rate(&sibling).unwrap();
+    let fresh = explore(&sibling, &opts).unwrap();
+    assert_eq!(generator_bits(&rerated), generator_bits(&fresh));
+    assert_march_bits_agree(&rerated, &fresh, "above the cutoff");
 }
 
 #[test]

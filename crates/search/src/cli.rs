@@ -12,7 +12,7 @@
 //!   --cost-ceiling DOLLARS     annual cost ceiling (overrides [search])
 //!   --format table|csv|json    output format (default table)
 //!   --threads N                worker threads (default: available cores)
-//!   --solver NAME              power|jacobi|gauss-seidel|sor|direct
+//!   --solver NAME              gauss-seidel|direct
 //!   --cache FILE               persistent JSON evaluation cache
 //!   --cache-cap N              cap resident cache entries
 //!   --no-break-even            skip break-even bisections
@@ -26,7 +26,6 @@
 use crate::report::{render, render_run_summary};
 use crate::{run_search, SearchConfig, SearchOptions};
 use dtc_core::SloTarget;
-use dtc_engine::cache::method_from_name;
 use dtc_engine::{Catalog, EngineError, EvalCache, Format, Result};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -47,7 +46,7 @@ options:
   --cost-ceiling DOLLARS     annual cost ceiling (overrides [search])
   --format table|csv|json    output format (default table)
   --threads N                worker threads (default: available cores)
-  --solver NAME              power|jacobi|gauss-seidel|sor|direct
+  --solver NAME              gauss-seidel|direct
   --cache FILE               persistent JSON evaluation cache
   --cache-cap N              cap resident cache entries (oldest evicted)
   --no-break-even            skip break-even bisections between frontier pairs
@@ -106,12 +105,8 @@ fn parse_args(args: &[String]) -> Result<(SearchCliOptions, Vec<String>)> {
             }
             "--threads" => opts.opts.threads = parse_usize("--threads", take("--threads")?)?,
             "--solver" => {
-                let v = take("--solver")?;
-                opts.opts.eval.method = method_from_name(&v).ok_or_else(|| {
-                    EngineError::Schema(format!(
-                        "unknown solver {v:?} (power, jacobi, gauss-seidel, sor or direct)"
-                    ))
-                })?;
+                opts.opts.eval.method =
+                    take("--solver")?.parse().map_err(EngineError::Schema)?
             }
             "--cache" => opts.cache_path = Some(PathBuf::from(take("--cache")?)),
             "--cache-cap" => {

@@ -128,7 +128,7 @@ pub struct ServeConfig {
     pub queue: usize,
     /// Worker threads used *inside* one `POST /v1/evaluate` batch. On a
     /// single-scenario batch the whole budget flows into the solver's
-    /// parallel march/power kernels (`dtc_markov::par`). Kept small by
+    /// parallel march kernels (`dtc_markov::par`). Kept small by
     /// default: request-level parallelism comes from the HTTP worker
     /// pool. Purely a scheduling knob — responses are bit-identical at
     /// every value and the count is excluded from cache identity.

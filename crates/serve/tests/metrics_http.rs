@@ -181,8 +181,10 @@ fn metrics_move_across_a_scripted_hit_miss_evict_431_413_503_sequence() {
     assert!(sample(&text, "dtc_stage_seconds_count{stage=\"explore\"}") >= 2.0);
     assert!(sample(&text, "dtc_stage_seconds_count{stage=\"stationary_solve\"}") >= 2.0);
     assert!(sample(&text, "dtc_solver_stationary_iterations_total") >= 1.0);
-    // Gauss–Seidel solves export the direct-fallback series even at zero.
+    // Gauss–Seidel solves export the direct-fallback and loose-accept
+    // series even at zero.
     assert!(sample(&text, "dtc_solver_direct_fallbacks_total") >= 0.0);
+    assert!(sample(&text, "dtc_solver_loose_accepts_total") >= 0.0);
 
     // An unknown route lands in the bounded "other" label.
     assert_eq!(status_of(&raw_request(addr, "GET", "/nope", None)), 404);

@@ -16,7 +16,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`obs`] | dependency-free metrics/tracing: counters, histograms, spans, Prometheus exposition |
-//! | [`markov`] | sparse CTMC/DTMC solvers (steady-state, transient, absorbing) |
+//! | [`markov`] | sparse CTMC solvers (steady-state, transient, absorbing) |
 //! | [`petri`] | GSPN modeling, reachability, vanishing-marking elimination |
 //! | [`rbd`] | reliability block diagrams and MTTF/MTTR folding |
 //! | [`sim`] | discrete-event GSPN simulation with confidence intervals |
