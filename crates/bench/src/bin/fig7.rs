@@ -19,7 +19,7 @@ fn main() {
     let catalog = dtc_engine::catalogs::fig7();
     let scenarios = catalog.expand().expect("bundled catalog expands");
     let opts =
-        RunOptions { threads: RunOptions::default().threads.min(4), ..Default::default() };
+        RunOptions { threads: dtc_engine::resolve_threads(0).min(4), ..Default::default() };
     eprintln!("evaluating {} configurations on {} threads…", scenarios.len(), opts.threads);
     let cache = std::sync::Arc::new(EvalCache::in_memory());
     let result = run_batch(&scenarios, &cache, &opts);

@@ -28,11 +28,7 @@ impl EvalOptions {
     /// Resolves [`EvalOptions::sweep_threads`]: `0` becomes the number of
     /// available cores.
     pub fn resolved_sweep_threads(&self) -> usize {
-        if self.sweep_threads == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
-        } else {
-            self.sweep_threads
-        }
+        dtc_markov::par::resolve_threads(self.sweep_threads)
     }
 }
 

@@ -115,6 +115,9 @@ pub fn evaluate_all_shared(
             None => {
                 let graph = model.state_space_from(opts, None)?;
                 *published = Some(Arc::clone(graph.structure()));
+                // Release the slot before solving: siblings wait for the
+                // structure, not for this job's solve.
+                drop(published);
                 graph
             }
         };

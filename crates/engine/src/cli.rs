@@ -41,7 +41,9 @@ usage:
 
 options:
   --format table|csv|json   output format (default table)
-  --threads N               worker threads (default: available cores)
+  --threads N               thread budget for the batch, split between
+                            scenario workers and each solve (default or 0:
+                            one per available core)
   --solver NAME             gauss-seidel|direct
   --analyses LIST           comma-separated analyses to run per scenario
                             (steady_state, transient, interval, mttsf,
@@ -162,7 +164,7 @@ fn evaluate(catalog: &Catalog, opts: &CliOptions) -> Result<(Vec<Scenario>, Batc
         catalog.name,
         scenarios.len(),
         run.analyses.len(),
-        run.threads.max(1)
+        dtc_markov::par::resolve_threads(run.threads)
     );
     let cache = Arc::new(EvalCache::open_lenient(opts.cache_path.clone(), opts.cache_cap));
     let trace_ctx = opts

@@ -89,8 +89,11 @@ impl BatchResult {
 /// Execution knobs for a batch.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
-    /// Worker threads for the fan-out (0 = one per scenario, capped by the
-    /// harness).
+    /// Thread budget for the whole batch (`0` = one per available core,
+    /// resolved by [`dtc_markov::par::resolve_threads`]). [`run_batch`]
+    /// runs `min(budget, unique specs)` batch workers and gives each
+    /// worker's unset `sweep_threads` and `solver.threads` the rest:
+    /// `budget / workers`.
     pub threads: usize,
     /// Numeric evaluation options (also part of every cache key).
     pub eval: EvalOptions,
@@ -101,9 +104,8 @@ pub struct RunOptions {
 
 impl Default for RunOptions {
     fn default() -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         RunOptions {
-            threads,
+            threads: 0,
             eval: EvalOptions::default(),
             analyses: vec![AnalysisRequest::SteadyState],
         }
@@ -157,15 +159,20 @@ pub fn run_batch(
     // Resolve every unique spec over a scoped worker pool; each solve goes
     // through the cache's single-flight gate.
     type Resolved = (Result<Arc<Vec<AnalysisReport>>, CloudError>, Fetch);
-    let threads = opts.threads.max(1).min(uniques.len().max(1));
+    let budget = dtc_markov::par::resolve_threads(opts.threads);
+    let threads = budget.min(uniques.len().max(1));
+    // The resolved worker count lands on the caller's open span
+    // (`design_search`, `run`, a request's `evaluate`), so a batch that
+    // runs on one worker shows in its trace.
+    dtc_obs::trace::attr_int("workers", threads as i64);
     // Analyses that fan out internally (the sensitivity sweep) share the
     // batch's thread budget instead of multiplying it: with W batch
-    // workers an unset sweep_threads becomes ⌈budget / W⌉-ish, so a batch
-    // never runs more than ~`opts.threads` solver threads at once. An
+    // workers an unset sweep_threads becomes ⌊budget / W⌋ (at least 1),
+    // so a batch never runs more than ~budget solver threads at once. An
     // explicit sweep_threads is the caller's business and passes through.
     let mut eval = opts.eval.clone();
     if eval.sweep_threads == 0 {
-        eval.sweep_threads = (opts.threads.max(1) / threads).max(1);
+        eval.sweep_threads = (budget / threads).max(1);
     }
     // Same budget split for the solver's parallel kernel (the uniformized
     // march): an unset solver.threads shares the batch budget across
@@ -175,7 +182,7 @@ pub fn run_batch(
     // after keying: thread counts are excluded from cache identity because
     // the kernels are bit-identical at every value (`dtc_markov::par`).
     if eval.solver.threads == 0 {
-        eval.solver.threads = (opts.threads.max(1) / threads).max(1);
+        eval.solver.threads = (budget / threads).max(1);
     }
     // Batch-scoped structure pool: grid cells usually differ only in rates
     // (same places/transitions/arcs), so after the first cache miss of each

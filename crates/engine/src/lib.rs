@@ -65,6 +65,9 @@ pub use catalog::{
     analyses_to_value, parse_analyses, parse_search_section, search_to_value, Catalog,
     Scenario, ScenarioTemplate, SearchConfig,
 };
+/// The one thread-count rule (`0` = one per available core), re-exported
+/// for the crates above the engine (`dtc-search`, `dtc-serve`).
+pub use dtc_markov::par::resolve_threads;
 pub use error::{EngineError, Result};
 pub use executor::{run_batch, BatchResult, Outcome, Provenance, RunOptions};
 pub use hash::{canonical_encoding, canonical_encoding_with, spec_key, SpecKey};

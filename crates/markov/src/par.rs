@@ -56,7 +56,11 @@ pub fn block_ranges(len: usize) -> Vec<Range<usize>> {
 }
 
 /// Resolves a thread-count knob: `0` becomes one thread per available
-/// core, anything else passes through.
+/// core, anything else passes through. This is the workspace's one
+/// thread-count rule: every `threads`-style knob (`RunOptions::threads`,
+/// `SearchOptions::threads`, `EvalOptions::sweep_threads`, this crate's
+/// `SolverOptions::threads`, `dtc serve --threads`/`--eval-threads`)
+/// resolves `0` through this function.
 pub fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)

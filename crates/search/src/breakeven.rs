@@ -15,6 +15,12 @@
 //! evaluates them through the same shared cache as the search itself, so
 //! probes at already-seen rates are hits and repeated searches re-use
 //! the whole bisection.
+//!
+//! The two bracket endpoints go through one batch of four specs at the
+//! search's own thread budget: each pair member explores its state space
+//! once and re-rates it for the other endpoint, and the two members'
+//! solves run side by side. The bisection steps after that are
+//! sequential, one two-spec batch per midpoint.
 
 use crate::SearchOptions;
 use dtc_core::analysis::{first_steady_state, AnalysisRequest};
@@ -61,16 +67,16 @@ pub fn break_even_years(
     dtc_obs::trace::attr_str("richer", &b.name);
 
     let mut probes = 0usize;
-    let mut diff_at = |years: f64| -> Option<f64> {
-        probes += 2;
-        diff_at_years(a, b, years, analyses, cache, opts)
+    let mut diffs_at = |years: &[f64]| -> Vec<Option<f64>> {
+        probes += 2 * years.len();
+        diffs_at_years(a, b, years, analyses, cache, opts)
     };
 
     let (mut lo, mut hi) = (MIN_YEARS, MAX_YEARS);
-    let (Some(d_lo), Some(d_hi)) = (diff_at(lo), diff_at(hi)) else {
+    let ends = diffs_at(&[lo, hi]);
+    let (Some(mut d_lo), Some(d_hi)) = (ends[0], ends[1]) else {
         return BreakEvenOutcome { crossing_years: None, probes };
     };
-    let mut d_lo = d_lo;
     if d_lo == 0.0 {
         return BreakEvenOutcome { crossing_years: Some(lo), probes };
     }
@@ -89,7 +95,7 @@ pub fn break_even_years(
         if (hi - lo) / lo < REL_TOLERANCE {
             break;
         }
-        let Some(d_mid) = diff_at(mid) else {
+        let Some(d_mid) = diffs_at(&[mid])[0] else {
             return BreakEvenOutcome { crossing_years: None, probes };
         };
         if d_mid == 0.0 {
@@ -105,26 +111,31 @@ pub fn break_even_years(
     BreakEvenOutcome { crossing_years: Some(((lo.ln() + hi.ln()) / 2.0).exp()), probes }
 }
 
-/// `A_a(years) − A_b(years)`: both specs rebuilt at the probe disaster
-/// mean and evaluated through the cache. `None` if either evaluation
-/// fails.
-fn diff_at_years(
+/// `A_a(y) − A_b(y)` for every probe mean `y` in `years`: both specs
+/// rebuilt at each mean and evaluated through the cache in one batch,
+/// ordered `a@y₀, b@y₀, a@y₁, …` so the first two workers explore one
+/// member each. An entry is `None` if either of its evaluations fails.
+fn diffs_at_years(
     a: &Scenario,
     b: &Scenario,
-    years: f64,
+    years: &[f64],
     analyses: &[AnalysisRequest],
     cache: &Arc<EvalCache>,
     opts: &SearchOptions,
-) -> Option<f64> {
-    let probes = vec![probe_scenario(a, years), probe_scenario(b, years)];
-    let run_opts =
-        RunOptions { threads: 2, eval: opts.eval.clone(), analyses: analyses.to_vec() };
+) -> Vec<Option<f64>> {
+    let probes: Vec<Scenario> =
+        years.iter().flat_map(|&y| [probe_scenario(a, y), probe_scenario(b, y)]).collect();
+    let run_opts = RunOptions {
+        threads: opts.threads,
+        eval: opts.eval.clone(),
+        analyses: analyses.to_vec(),
+    };
     let result = run_batch(&probes, cache, &run_opts);
     let avail = |i: usize| -> Option<f64> {
         let reports = result.outcomes[i].reports.as_ref().ok()?;
         Some(first_steady_state(reports)?.availability)
     };
-    Some(avail(0)? - avail(1)?)
+    (0..years.len()).map(|k| Some(avail(2 * k)? - avail(2 * k + 1)?)).collect()
 }
 
 /// A copy of `scenario` with every data center's disaster mean replaced

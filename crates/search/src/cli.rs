@@ -11,7 +11,9 @@
 //!                              (overrides the catalog's [search] section)
 //!   --cost-ceiling DOLLARS     annual cost ceiling (overrides [search])
 //!   --format table|csv|json    output format (default table)
-//!   --threads N                worker threads (default: available cores)
+//!   --threads N                thread budget for the candidate batch and
+//!                              each break-even probe batch (default or 0:
+//!                              one per available core)
 //!   --solver NAME              gauss-seidel|direct
 //!   --cache FILE               persistent JSON evaluation cache
 //!   --cache-cap N              cap resident cache entries
@@ -45,7 +47,9 @@ options:
                              (overrides the catalog's [search] section)
   --cost-ceiling DOLLARS     annual cost ceiling (overrides [search])
   --format table|csv|json    output format (default table)
-  --threads N                worker threads (default: available cores)
+  --threads N                thread budget for the candidate batch and
+                             each break-even probe batch (default or 0:
+                             one per available core)
   --solver NAME              gauss-seidel|direct
   --cache FILE               persistent JSON evaluation cache
   --cache-cap N              cap resident cache entries (oldest evicted)

@@ -64,7 +64,9 @@ pub mod catalogs {
 /// change a number in the report).
 #[derive(Debug, Clone, Default)]
 pub struct SearchOptions {
-    /// Worker threads for the candidate fan-out (`0` = one per core).
+    /// Thread budget for the candidate batch and for each break-even
+    /// probe batch (`0` = one per available core). Passed through as
+    /// [`RunOptions::threads`], so [`run_batch`] resolves and splits it.
     pub threads: usize,
     /// Numeric evaluation options (part of every candidate's cache key).
     pub eval: EvalOptions,

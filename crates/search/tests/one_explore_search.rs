@@ -11,7 +11,13 @@
 //! pollute the deltas. One test per binary means one process, so the
 //! deltas are exact. Break-even bisection is disabled because each probe
 //! batch carries its own batch-scoped structure registry; the pinned
-//! claim is about the candidate batch.
+//! claim is about the candidate batch (`one_explore_breakeven.rs` pins
+//! the bisection's endpoint batch).
+//!
+//! `SearchOptions::default()` runs the candidate batch on one worker per
+//! available core, so the single-flight claim is exercised concurrently:
+//! workers of one structural group race for its registry slot, one
+//! explores and the others wait and re-rate.
 
 use dtc_core::instrument;
 use dtc_core::CloudModel;

@@ -11,10 +11,11 @@ usage: dtc serve [options]
 
 options:
   --addr HOST:PORT    listen address (default 127.0.0.1:7878; port 0 = ephemeral)
-  --threads N         HTTP worker threads (default: available cores)
+  --threads N         HTTP worker threads (default or 0: one per available core)
   --queue N           pending-connection queue capacity (default 128);
                       the acceptor answers 503 beyond it
-  --eval-threads N    solver threads inside one request batch (default 1)
+  --eval-threads N    thread budget inside one request's batch (default 1;
+                      0: one per available core)
   --cache FILE        persistent JSON evaluation cache
   --cache-cap N       cap resident cache entries (oldest evicted first)
 
@@ -93,12 +94,13 @@ pub fn run_serve(args: &[String]) -> i32 {
     };
     match Server::start(&config) {
         Ok(server) => {
+            let workers = dtc_engine::resolve_threads(config.threads);
             dtc_obs::log::info(
                 "dtc-serve",
                 "listening",
                 &[
                     ("addr", server.addr().to_string().into()),
-                    ("workers", (config.threads.max(1) as i64).into()),
+                    ("workers", (workers as i64).into()),
                     ("queue", (config.queue.max(1) as i64).into()),
                 ],
             );

@@ -121,7 +121,7 @@ impl From<EngineError> for ServeError {
 pub struct ServeConfig {
     /// Listen address (`host:port`; port 0 picks an ephemeral port).
     pub addr: String,
-    /// HTTP worker threads.
+    /// HTTP worker threads (`0` = one per available core).
     pub threads: usize,
     /// Pending-connection queue capacity; beyond it the acceptor answers
     /// 503 immediately (backpressure instead of unbounded buffering).
@@ -130,8 +130,9 @@ pub struct ServeConfig {
     /// single-scenario batch the whole budget flows into the solver's
     /// parallel march kernels (`dtc_markov::par`). Kept small by
     /// default: request-level parallelism comes from the HTTP worker
-    /// pool. Purely a scheduling knob — responses are bit-identical at
-    /// every value and the count is excluded from cache identity.
+    /// pool; `0` means one per available core. Purely a scheduling knob —
+    /// responses are bit-identical at every value and the count is
+    /// excluded from cache identity.
     pub eval_threads: usize,
     /// Optional persistent JSON cache store.
     pub cache_path: Option<PathBuf>,
@@ -141,10 +142,9 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         ServeConfig {
             addr: "127.0.0.1:7878".into(),
-            threads,
+            threads: 0,
             queue: 128,
             eval_threads: 1,
             cache_path: None,
@@ -243,11 +243,11 @@ impl Server {
     ) -> Result<Server, ServeError> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let worker_count = config.threads.max(1);
+        let worker_count = dtc_engine::resolve_threads(config.threads);
         let shared = Arc::new(Shared {
             cache,
             backlog: Backlog::new(config.queue),
-            eval_threads: config.eval_threads.max(1),
+            eval_threads: config.eval_threads,
             workers: worker_count,
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
