@@ -10,7 +10,7 @@
 //! options:
 //!   --format table|csv|json   output format (default table)
 //!   --threads N               worker threads (default: available cores)
-//!   --solver NAME             gauss-seidel|direct
+//!   --solver NAME             gauss-seidel (default) or direct
 //!   --cache FILE              persistent JSON evaluation cache
 //! ```
 //!
@@ -44,7 +44,10 @@ options:
   --threads N               thread budget for the batch, split between
                             scenario workers and each solve (default or 0:
                             one per available core)
-  --solver NAME             gauss-seidel|direct
+  --solver NAME             steady-state solver: gauss-seidel (default;
+                            sweeps with extrapolation jumps kept only when
+                            they lower the true residual) or direct (dense
+                            elimination, small chains only)
   --analyses LIST           comma-separated analyses to run per scenario
                             (steady_state, transient, interval, mttsf,
                             capacity_thresholds, cost, simulation, sensitivity);

@@ -121,10 +121,28 @@ impl Default for RunOptions {
 ///
 /// Successful reports are inserted into `cache`; errors are never cached.
 /// Call [`EvalCache::persist`] afterwards to flush a disk-backed cache.
+///
+/// Explorations are shared within the batch through a fresh
+/// [`StructureRegistry`]; [`run_batch_shared`] shares them across batches.
 pub fn run_batch(
     scenarios: &[Scenario],
     cache: &Arc<EvalCache>,
     opts: &RunOptions,
+) -> BatchResult {
+    run_batch_shared(scenarios, cache, opts, &StructureRegistry::new())
+}
+
+/// [`run_batch`] with a caller-owned structure pool: a cache miss whose
+/// net structure `registry` already holds — from this batch or an earlier
+/// one, such as a design search's candidate batch and its break-even
+/// probes — re-rates it instead of exploring (bit-identical results, see
+/// [`dtc_core::sweep::evaluate_all_shared`]). Purely an execution detail:
+/// cache keys and report bytes are unchanged.
+pub fn run_batch_shared(
+    scenarios: &[Scenario],
+    cache: &Arc<EvalCache>,
+    opts: &RunOptions,
+    registry: &StructureRegistry,
 ) -> BatchResult {
     let keyed: Vec<(SpecKey, String)> = scenarios
         .iter()
@@ -184,13 +202,10 @@ pub fn run_batch(
     if eval.solver.threads == 0 {
         eval.solver.threads = (budget / threads).max(1);
     }
-    // Batch-scoped structure pool: grid cells usually differ only in rates
-    // (same places/transitions/arcs), so after the first cache miss of each
+    // Structure pool: grid cells usually differ only in rates (same
+    // places/transitions/arcs), so after the first cache miss of each
     // structural group explores, every later miss in the group re-rates
-    // that structure instead of re-exploring (bit-identical results, see
-    // `dtc_core::sweep::evaluate_all_shared`). Purely an execution detail:
-    // cache keys and report bytes are unchanged.
-    let registry = StructureRegistry::new();
+    // that structure instead of re-exploring.
     let t0 = std::time::Instant::now();
     let resolved: Vec<Resolved> = fan_out(uniques.len(), threads, |u| {
         let i = uniques[u];
@@ -198,7 +213,7 @@ pub fn run_batch(
         let _scenario_span = dtc_obs::trace::trace_span("scenario");
         dtc_obs::trace::attr_str("name", &scenarios[i].name);
         let outcome = cache.get_or_compute(key, canonical, || {
-            evaluate_all_shared(&scenarios[i].spec, &opts.analyses, &eval, &registry)
+            evaluate_all_shared(&scenarios[i].spec, &opts.analyses, &eval, registry)
                 .map(Arc::new)
         });
         dtc_obs::trace::event(

@@ -69,7 +69,7 @@ pub use catalog::{
 /// for the crates above the engine (`dtc-search`, `dtc-serve`).
 pub use dtc_markov::par::resolve_threads;
 pub use error::{EngineError, Result};
-pub use executor::{run_batch, BatchResult, Outcome, Provenance, RunOptions};
+pub use executor::{run_batch, run_batch_shared, BatchResult, Outcome, Provenance, RunOptions};
 pub use hash::{canonical_encoding, canonical_encoding_with, spec_key, SpecKey};
 pub use output::{render, render_summary, results_to_value, Format};
 

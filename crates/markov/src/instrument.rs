@@ -15,6 +15,7 @@
 //! * `dtc_solver_stationary_iterations_total`
 //! * `dtc_solver_direct_fallbacks_total`
 //! * `dtc_solver_loose_accepts_total`
+//! * `dtc_solver_extrapolations_total{outcome="accepted"|"rejected"}`
 //!
 //! Counters are cumulative for the process. Tests that assert on deltas
 //! should run in their own integration-test binary so concurrent tests in
@@ -76,6 +77,25 @@ fn loose() -> &'static Counter {
     )
 }
 
+fn extrapolation_counter(outcome: &'static str) -> Arc<Counter> {
+    dtc_obs::global().counter(
+        "dtc_solver_extrapolations_total",
+        "Extrapolated Gauss-Seidel iterates, by whether the true-residual safeguard \
+         accepted or rejected them, since process start.",
+        &[("outcome", outcome)],
+    )
+}
+
+fn accepted_jumps() -> &'static Counter {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| extrapolation_counter("accepted"))
+}
+
+fn rejected_jumps() -> &'static Counter {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| extrapolation_counter("rejected"))
+}
+
 /// Total `P = I + Q/Λ` constructions since process start.
 pub fn uniformized_builds() -> u64 {
     builds().value()
@@ -90,7 +110,8 @@ pub fn transient_marches() -> u64 {
 }
 
 /// Total inner iterations spent in stationary solves (Gauss–Seidel sweeps)
-/// since process start.
+/// since process start. Extrapolation jumps are not sweeps and are
+/// counted apart, in [`extrapolations`].
 pub fn stationary_iterations() -> u64 {
     iterations().value()
 }
@@ -105,6 +126,14 @@ pub fn direct_fallbacks() -> u64 {
 /// [`crate::SolverOptions::accept_loose`] since process start.
 pub fn loose_accepts() -> u64 {
     loose().value()
+}
+
+/// Total extrapolated Gauss–Seidel iterates `(accepted, rejected)` by the
+/// true-residual safeguard since process start (see
+/// [`crate::solve::stationary_iteration`]). A step whose ratio estimate
+/// fell outside `(0, 1)` formed no candidate and counts in neither.
+pub fn extrapolations() -> (u64, u64) {
+    (accepted_jumps().value(), rejected_jumps().value())
 }
 
 pub(crate) fn count_uniformized_build() {
@@ -131,6 +160,11 @@ pub(crate) fn count_loose_accept() {
     loose().inc();
 }
 
+pub(crate) fn count_extrapolations(accepted: u64, rejected: u64) {
+    accepted_jumps().add(accepted);
+    rejected_jumps().add(rejected);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +177,10 @@ mod tests {
         count_uniformized_build();
         count_transient_march();
         count_stationary_iterations(3);
+        let (accepted0, rejected0) = extrapolations();
+        count_extrapolations(2, 1);
+        let (accepted, rejected) = extrapolations();
+        assert!(accepted >= accepted0 + 2 && rejected > rejected0);
         assert!(uniformized_builds() > b0);
         assert!(transient_marches() > m0);
         assert!(super::stationary_iterations() >= i0 + 3);
@@ -153,5 +191,11 @@ mod tests {
         count_uniformized_build();
         let text = dtc_obs::global().render();
         assert!(text.contains("dtc_solver_uniformized_builds_total"), "scrape: {text}");
+        count_extrapolations(0, 0);
+        let text = dtc_obs::global().render();
+        for outcome in ["accepted", "rejected"] {
+            let series = format!("dtc_solver_extrapolations_total{{outcome=\"{outcome}\"}}");
+            assert!(text.contains(&series), "scrape: {text}");
+        }
     }
 }

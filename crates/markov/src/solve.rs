@@ -7,9 +7,22 @@
 //!
 //! Two methods are provided:
 //!
-//! * **Gauss–Seidel sweeps** on `Qᵀ x = 0` — the default, and the method
-//!   every bundled workload solves with: few sweeps on stiff dependability
-//!   models (rates spanning `1/minutes` to `1/centuries`), O(nnz) memory.
+//! * **Gauss–Seidel sweeps** on `Qᵀ x = 0` with safeguarded vector
+//!   extrapolation ([`stationary_iteration`]) — the default, and the
+//!   method every bundled workload solves with. O(nnz) memory. On stiff
+//!   dependability models (rates spanning `1/minutes` to `1/centuries`)
+//!   the sweep error decays slowly along one dominant mode with ratio
+//!   `ρ` close to 1. Every few sweeps the solver estimates `ρ` from the
+//!   last two sweep deltas and jumps ahead along that mode: the
+//!   candidate is `x + ρ/(1−ρ)·dₖ` (Stewart, *Introduction to the
+//!   Numerical Solution of Markov Chains*, 1994, ch. 3). The
+//!   **safeguard** keeps a candidate only if its true residual
+//!   `‖Qᵀx‖₁` is strictly below the current iterate's. A chain whose
+//!   error does not follow one positive mode therefore gets plain
+//!   sweeps. The **convergence test** compares two plain Gauss–Seidel
+//!   iterates only, never an iterate with a jump, so the stop criterion
+//!   means what it did for plain sweeps, and an answer a plain solve
+//!   stored under the same cache key passes it too.
 //! * **Dense direct elimination** with partial pivoting for small chains —
 //!   the ground truth in tests and the fallback when Gauss–Seidel stalls
 //!   on a chain of at most a few thousand states.
@@ -18,15 +31,25 @@ use crate::error::{MarkovError, Result};
 use crate::par;
 use crate::sparse::CsrMatrix;
 
-/// Convergence/iteration knobs shared by the iterative solvers.
+/// Convergence/iteration knobs of the Gauss–Seidel solve.
+///
+/// Every field except [`SolverOptions::threads`] is part of the
+/// evaluation-cache identity and keeps its plain-sweep meaning under
+/// extrapolation: budgets and checks count sweeps only (a jump is not a
+/// sweep), and the stop test compares two plain sweeps. The extrapolation
+/// itself has no knob.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverOptions {
-    /// Maximum number of sweeps before giving up.
+    /// Maximum number of sweeps before giving up. Extrapolation jumps do
+    /// not count against it.
     pub max_iterations: usize,
-    /// Convergence tolerance on the max-norm of successive-iterate deltas
-    /// (relative to the iterate's max entry).
+    /// Convergence tolerance on the max-norm of the delta between two
+    /// successive plain Gauss–Seidel iterates (relative to the iterate's
+    /// max entry).
     pub tolerance: f64,
-    /// Check convergence every `check_every` sweeps.
+    /// Check convergence every `check_every` sweeps. A check that would
+    /// compare an extrapolated iterate with its sweep moves one sweep
+    /// later.
     pub check_every: usize,
     /// If the iteration budget runs out but the relative delta is already
     /// below this looser threshold, accept the solution (the achieved
@@ -65,7 +88,11 @@ impl Default for SolverOptions {
 /// Steady-state solution method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Method {
-    /// Gauss–Seidel sweeps on `Qᵀx = 0` (default).
+    /// Gauss–Seidel sweeps on `Qᵀx = 0` (default), with an extrapolation
+    /// jump every few sweeps that is kept only when it lowers the true
+    /// residual `‖Qᵀx‖₁` (see [`stationary_iteration`]). The name stays
+    /// `gauss-seidel`: a solve that rejects every jump is plain
+    /// Gauss–Seidel, and cache keys did not change with the jumps.
     #[default]
     GaussSeidel,
     /// Dense LU-style elimination; exact up to rounding, `O(n³)`.
@@ -104,7 +131,8 @@ impl std::str::FromStr for Method {
 /// Outcome of an iterative solve: the solution plus convergence diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveStats {
-    /// Number of sweeps/iterations performed.
+    /// Number of Gauss–Seidel sweeps performed (extrapolation jumps are
+    /// not sweeps), or 1 for the direct method.
     pub iterations: usize,
     /// Final residual estimate (max-norm of the last delta, or of `xQᵀ` for
     /// the direct method).
@@ -188,13 +216,37 @@ fn max_abs_delta(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
 }
 
-/// Gauss–Seidel sweeps solving `A x = 0`, `Σx = 1` where `A` is expected to
-/// be `Qᵀ` of an irreducible generator (strictly negative diagonal,
-/// non-negative off-diagonals, columns of `Q` summing to zero).
+/// Sweeps between extrapolation attempts: each jump reads the deltas of
+/// the two sweeps before it, so the error has a few plain sweeps to settle
+/// back onto its dominant mode after the previous jump.
+const EXTRAPOLATE_EVERY: usize = 6;
+
+/// Extrapolation outcomes of one solve.
+#[derive(Default)]
+struct Jumps {
+    accepted: u64,
+    rejected: u64,
+}
+
+/// Gauss–Seidel sweeps with safeguarded vector extrapolation, solving
+/// `A x = 0`, `Σx = 1` where `A` is expected to be `Qᵀ` of an irreducible
+/// generator (strictly negative diagonal, non-negative off-diagonals,
+/// columns of `Q` summing to zero).
 ///
-/// A result taken through [`SolverOptions::accept_loose`] after the budget
-/// ran out sets `loose = true` on the enclosing trace span and is counted
-/// in [`crate::instrument::loose_accepts`].
+/// Every 6 sweeps the dominant error ratio is estimated from the last two
+/// sweep deltas, `ρ = ⟨dₖ, dₖ₋₁⟩ / ⟨dₖ₋₁, dₖ₋₁⟩`, and for `0 < ρ < 1` the candidate `x + ρ/(1−ρ)·dₖ` (normalized) replaces
+/// the iterate only if its true residual `‖A x‖₁` is strictly below the
+/// current iterate's; otherwise the solve carries on with plain sweeps.
+/// The convergence test compares two plain Gauss–Seidel iterates only:
+/// a test that falls on the sweep right after a jump moves to the next
+/// sweep, and no jump is taken in the last two sweeps of the budget.
+///
+/// Accepted and rejected jumps are counted in
+/// [`crate::instrument::extrapolations`] and recorded as `extrapolations`
+/// and `rejected` on the enclosing trace span. A result taken through
+/// [`SolverOptions::accept_loose`] after the budget ran out sets
+/// `loose = true` on that span and is counted in
+/// [`crate::instrument::loose_accepts`].
 pub fn stationary_iteration(
     a: &CsrMatrix,
     x0: &[f64],
@@ -223,11 +275,39 @@ pub fn stationary_iteration(
         }
         *slot = d;
     }
+    let mut jumps = Jumps::default();
+    let result = sweep_to_convergence(a, &diag, x0, opts, &mut jumps);
+    crate::instrument::count_extrapolations(jumps.accepted, jumps.rejected);
+    dtc_obs::trace::attr_int("extrapolations", jumps.accepted as i64);
+    dtc_obs::trace::attr_int("rejected", jumps.rejected as i64);
+    result
+}
+
+/// The sweep loop of [`stationary_iteration`] on validated inputs.
+fn sweep_to_convergence(
+    a: &CsrMatrix,
+    diag: &[f64],
+    x0: &[f64],
+    opts: &SolverOptions,
+    jumps: &mut Jumps,
+) -> Result<(Vec<f64>, SolveStats)> {
+    let method = Method::GaussSeidel;
+    let n = a.nrows();
     let mut x = x0.to_vec();
     normalize(&mut x);
+    // `prev` is the sweep's input; on an extrapolation sweep `prev2` holds
+    // the input of the sweep before, and `candidate` the jumped iterate.
     let mut prev = vec![0.0; n];
+    let mut prev2 = vec![0.0; n];
+    let mut candidate = vec![0.0; n];
     let mut last_delta = f64::INFINITY;
+    let mut jumped = false;
+    let mut check_due = false;
     for it in 1..=opts.max_iterations {
+        let extrapolate = it % EXTRAPOLATE_EVERY == 0 && it + 2 <= opts.max_iterations;
+        if extrapolate {
+            std::mem::swap(&mut prev, &mut prev2);
+        }
         prev.copy_from_slice(&x);
         for i in 0..n {
             let (cols, vals) = a.row(i);
@@ -241,7 +321,10 @@ pub fn stationary_iteration(
             x[i] = -acc / diag[i];
         }
         normalize(&mut x);
-        if it % opts.check_every == 0 || it == opts.max_iterations {
+        let after_jump = std::mem::take(&mut jumped);
+        check_due |= it % opts.check_every == 0 || it == opts.max_iterations;
+        if check_due && !after_jump {
+            check_due = false;
             last_delta = max_abs_delta(&prev, &x);
             let scale = x.iter().cloned().fold(0.0, f64::max).max(1e-300);
             if last_delta / scale <= opts.tolerance {
@@ -253,6 +336,17 @@ pub fn stationary_iteration(
                     });
                 }
                 return Ok((x, SolveStats { iterations: it, residual: last_delta, method }));
+            }
+        }
+        if extrapolate {
+            match try_jump(a, &x, &prev, &prev2, &mut candidate) {
+                Jump::Accepted => {
+                    std::mem::swap(&mut x, &mut candidate);
+                    jumps.accepted += 1;
+                    jumped = true;
+                }
+                Jump::Rejected => jumps.rejected += 1,
+                Jump::Skipped => {}
             }
         }
     }
@@ -273,6 +367,61 @@ pub fn stationary_iteration(
         iterations: opts.max_iterations,
         residual: last_delta,
     })
+}
+
+/// What one extrapolation attempt did.
+enum Jump {
+    /// `ρ` fell outside `(0, 1)`: no candidate was formed.
+    Skipped,
+    /// The candidate lowered the true residual and is in `candidate`.
+    Accepted,
+    /// The candidate did not lower the true residual.
+    Rejected,
+}
+
+/// Forms the extrapolated candidate from the iterates `x = xₖ`,
+/// `prev = xₖ₋₁` and `prev2 = xₖ₋₂` into `candidate`, and judges it by
+/// the true residual `‖A y‖₁` against the current iterate's. Both
+/// residuals come from one pass over the rows of `a`, diagonal included.
+fn try_jump(
+    a: &CsrMatrix,
+    x: &[f64],
+    prev: &[f64],
+    prev2: &[f64],
+    candidate: &mut [f64],
+) -> Jump {
+    let (mut num, mut den) = (0.0, 0.0);
+    for ((&xk, &x1), &x2) in x.iter().zip(prev).zip(prev2) {
+        let (dk, d1) = (xk - x1, x1 - x2);
+        num += dk * d1;
+        den += d1 * d1;
+    }
+    let rho = num / den;
+    if !(rho > 0.0 && rho < 1.0) {
+        return Jump::Skipped;
+    }
+    let step = rho / (1.0 - rho);
+    for ((y, &xk), &x1) in candidate.iter_mut().zip(x).zip(prev) {
+        *y = xk + step * (xk - x1);
+    }
+    normalize(candidate);
+    let (mut current, mut jumped) = (0.0, 0.0);
+    for i in 0..a.nrows() {
+        let (cols, vals) = a.row(i);
+        let (mut rx, mut ry) = (0.0, 0.0);
+        for (c, v) in cols.iter().zip(vals) {
+            let j = *c as usize;
+            rx += v * x[j];
+            ry += v * candidate[j];
+        }
+        current += rx.abs();
+        jumped += ry.abs();
+    }
+    if jumped < current {
+        Jump::Accepted
+    } else {
+        Jump::Rejected
+    }
 }
 
 /// Dense direct solve of `π Q = 0`, `Σπ = 1` by Gaussian elimination with

@@ -17,16 +17,20 @@
 //! the whole bisection.
 //!
 //! The two bracket endpoints go through one batch of four specs at the
-//! search's own thread budget: each pair member explores its state space
-//! once and re-rates it for the other endpoint, and the two members'
-//! solves run side by side. The bisection steps after that are
-//! sequential, one two-spec batch per midpoint.
+//! search's own thread budget, and the two members' solves run side by
+//! side. The bisection steps after that are sequential, one two-spec
+//! batch per midpoint. Every probe batch shares one structure registry,
+//! so each pair member explores its state space at most once and every
+//! later probe re-rates it. Inside [`crate::run_search`] that registry is
+//! the candidate batch's, so the probes re-rate the structures the
+//! candidates explored.
 
 use crate::SearchOptions;
 use dtc_core::analysis::{first_steady_state, AnalysisRequest};
 use dtc_core::params::HOURS_PER_YEAR;
+use dtc_core::sweep::StructureRegistry;
 use dtc_core::ComponentParams;
-use dtc_engine::{run_batch, EvalCache, RunOptions, Scenario};
+use dtc_engine::{run_batch_shared, EvalCache, RunOptions, Scenario};
 use std::sync::Arc;
 
 /// Probe range: mean time between disasters from 1 year to 10 000 years.
@@ -62,6 +66,19 @@ pub fn break_even_years(
     cache: &Arc<EvalCache>,
     opts: &SearchOptions,
 ) -> BreakEvenOutcome {
+    break_even_years_shared(a, b, analyses, cache, opts, &StructureRegistry::new())
+}
+
+/// [`break_even_years`] re-rating the structures in `registry` (and
+/// publishing the ones it explores there) instead of a fresh pool.
+pub(crate) fn break_even_years_shared(
+    a: &Scenario,
+    b: &Scenario,
+    analyses: &[AnalysisRequest],
+    cache: &Arc<EvalCache>,
+    opts: &SearchOptions,
+    registry: &StructureRegistry,
+) -> BreakEvenOutcome {
     let _span = dtc_obs::trace::trace_span("break_even");
     dtc_obs::trace::attr_str("cheaper", &a.name);
     dtc_obs::trace::attr_str("richer", &b.name);
@@ -69,7 +86,7 @@ pub fn break_even_years(
     let mut probes = 0usize;
     let mut diffs_at = |years: &[f64]| -> Vec<Option<f64>> {
         probes += 2 * years.len();
-        diffs_at_years(a, b, years, analyses, cache, opts)
+        diffs_at_years(a, b, years, analyses, cache, opts, registry)
     };
 
     let (mut lo, mut hi) = (MIN_YEARS, MAX_YEARS);
@@ -122,6 +139,7 @@ fn diffs_at_years(
     analyses: &[AnalysisRequest],
     cache: &Arc<EvalCache>,
     opts: &SearchOptions,
+    registry: &StructureRegistry,
 ) -> Vec<Option<f64>> {
     let probes: Vec<Scenario> =
         years.iter().flat_map(|&y| [probe_scenario(a, y), probe_scenario(b, y)]).collect();
@@ -130,7 +148,7 @@ fn diffs_at_years(
         eval: opts.eval.clone(),
         analyses: analyses.to_vec(),
     };
-    let result = run_batch(&probes, cache, &run_opts);
+    let result = run_batch_shared(&probes, cache, &run_opts, registry);
     let avail = |i: usize| -> Option<f64> {
         let reports = result.outcomes[i].reports.as_ref().ok()?;
         Some(first_steady_state(reports)?.availability)

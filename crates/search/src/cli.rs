@@ -14,7 +14,7 @@
 //!   --threads N                thread budget for the candidate batch and
 //!                              each break-even probe batch (default or 0:
 //!                              one per available core)
-//!   --solver NAME              gauss-seidel|direct
+//!   --solver NAME              gauss-seidel (default) or direct
 //!   --cache FILE               persistent JSON evaluation cache
 //!   --cache-cap N              cap resident cache entries
 //!   --no-break-even            skip break-even bisections
@@ -50,7 +50,10 @@ options:
   --threads N                thread budget for the candidate batch and
                              each break-even probe batch (default or 0:
                              one per available core)
-  --solver NAME              gauss-seidel|direct
+  --solver NAME              steady-state solver: gauss-seidel (default;
+                             sweeps with extrapolation jumps kept only when
+                             they lower the true residual) or direct (dense
+                             elimination, small chains only)
   --cache FILE               persistent JSON evaluation cache
   --cache-cap N              cap resident cache entries (oldest evicted)
   --no-break-even            skip break-even bisections between frontier pairs

@@ -37,7 +37,8 @@ pub mod report;
 use dtc_core::analysis::{first_steady_state, AnalysisReport, AnalysisRequest};
 use dtc_core::economics::CostBreakdown;
 use dtc_core::metrics::EvalOptions;
-use dtc_engine::{run_batch, Catalog, EngineError, EvalCache, RunOptions, Scenario};
+use dtc_core::sweep::StructureRegistry;
+use dtc_engine::{run_batch_shared, Catalog, EngineError, EvalCache, RunOptions, Scenario};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -66,7 +67,8 @@ pub mod catalogs {
 pub struct SearchOptions {
     /// Thread budget for the candidate batch and for each break-even
     /// probe batch (`0` = one per available core). Passed through as
-    /// [`RunOptions::threads`], so [`run_batch`] resolves and splits it.
+    /// [`RunOptions::threads`], so [`dtc_engine::run_batch`] resolves and
+    /// splits it.
     pub threads: usize,
     /// Numeric evaluation options (part of every candidate's cache key).
     pub eval: EvalOptions,
@@ -220,7 +222,10 @@ pub fn run_search(
         eval: opts.eval.clone(),
         analyses: analyses.clone(),
     };
-    let result = run_batch(&scenarios, cache, &run_opts);
+    // One structure pool for the whole search: the break-even probes
+    // re-rate the structures the candidate batch explored.
+    let registry = StructureRegistry::new();
+    let result = run_batch_shared(&scenarios, cache, &run_opts, &registry);
     let distinct_specs = scenarios.len() - result.deduplicated;
 
     let mut candidates = Vec::with_capacity(scenarios.len());
@@ -301,7 +306,8 @@ pub fn run_search(
         for pair in frontier.windows(2).take(config.max_break_even_pairs) {
             let (a, b) = (&pair[0], &pair[1]);
             let (sa, sb) = (by_name[a.as_str()], by_name[b.as_str()]);
-            let outcome = breakeven::break_even_years(sa, sb, &analyses, cache, opts);
+            let outcome =
+                breakeven::break_even_years_shared(sa, sb, &analyses, cache, opts, &registry);
             probe_evaluations += outcome.probes;
             break_even.push(BreakEven {
                 cheaper: a.clone(),

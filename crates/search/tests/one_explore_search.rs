@@ -9,10 +9,10 @@
 //! counters are process-wide, and Rust runs every test of one binary in
 //! the same process — a sibling test evaluating models concurrently would
 //! pollute the deltas. One test per binary means one process, so the
-//! deltas are exact. Break-even bisection is disabled because each probe
-//! batch carries its own batch-scoped structure registry; the pinned
-//! claim is about the candidate batch (`one_explore_breakeven.rs` pins
-//! the bisection's endpoint batch).
+//! deltas are exact. Break-even bisection is disabled: the pinned claim
+//! is about the candidate batch (`one_explore_breakeven.rs` pins a
+//! standalone bisection's endpoint batch, `one_explore_crossing.rs` a
+//! whole search with its bisection).
 //!
 //! `SearchOptions::default()` runs the candidate batch on one worker per
 //! available core, so the single-flight claim is exercised concurrently:

@@ -185,6 +185,10 @@ fn metrics_move_across_a_scripted_hit_miss_evict_431_413_503_sequence() {
     // series even at zero.
     assert!(sample(&text, "dtc_solver_direct_fallbacks_total") >= 0.0);
     assert!(sample(&text, "dtc_solver_loose_accepts_total") >= 0.0);
+    // …and their extrapolation jumps by safeguard outcome, apart from the
+    // sweep counter.
+    assert!(sample(&text, "dtc_solver_extrapolations_total{outcome=\"accepted\"}") >= 0.0);
+    assert!(sample(&text, "dtc_solver_extrapolations_total{outcome=\"rejected\"}") >= 0.0);
 
     // An unknown route lands in the bounded "other" label.
     assert_eq!(status_of(&raw_request(addr, "GET", "/nope", None)), 404);
