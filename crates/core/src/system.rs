@@ -21,9 +21,11 @@ use crate::metrics::{AvailabilityReport, EvalOptions};
 use crate::params::{ComponentParams, VmParams};
 use dtc_petri::expr::{BoolExpr, IntExpr};
 use dtc_petri::model::{PetriNet, PetriNetBuilder, PlaceId};
-use dtc_petri::reach::{explore_from, Solution, TangibleGraph, TangibleStructure};
+use dtc_petri::reach::{
+    explore_from_fingerprinted, Solution, TangibleGraph, TangibleStructure,
+};
 use dtc_sim::{Estimate, SimConfig, Simulator, TimingOverrides};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One physical machine.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -215,6 +217,8 @@ pub struct CloudModel {
     backup: Option<SimpleComponent>,
     transfers: Vec<TransferPath>,
     backup_transfers: Vec<TransferPath>,
+    /// [`CloudModel::net_fingerprint`], hashed on first use.
+    fingerprint: OnceLock<u64>,
 }
 
 impl CloudModel {
@@ -400,6 +404,7 @@ impl CloudModel {
             backup,
             transfers,
             backup_transfers,
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -460,9 +465,10 @@ impl CloudModel {
     /// Structural fingerprint of the compiled net (see
     /// [`dtc_petri::structural_fingerprint`]): equal fingerprints mean
     /// rate-only siblings whose state spaces can be shared through
-    /// [`CloudModel::state_space_from`].
+    /// [`CloudModel::state_space_from`]. Hashed once per model: the
+    /// registry lookup and the re-rate decision below share it.
     pub fn net_fingerprint(&self) -> u64 {
-        dtc_petri::structural_fingerprint(&self.net)
+        *self.fingerprint.get_or_init(|| dtc_petri::structural_fingerprint(&self.net))
     }
 
     /// Like [`CloudModel::state_space`], but when `structure` is offered
@@ -480,17 +486,19 @@ impl CloudModel {
         opts: &EvalOptions,
         structure: Option<&Arc<TangibleStructure>>,
     ) -> Result<TangibleGraph> {
-        // Mirror explore_from's decision so the span names what actually
-        // happens (the fingerprint check is microseconds on a net
-        // description; exploration is the expensive part being avoided).
-        let re_rating = structure.is_some_and(|s| {
-            opts.reach.vanishing == dtc_petri::VanishingPolicy::Eliminate
-                && s.num_states() <= opts.reach.max_states
-                && s.matches(&self.net)
-        });
+        // Take explore_from's decision up front so the span names what
+        // actually happens.
+        let fingerprint = self.net_fingerprint();
+        let re_rating = structure.is_some_and(|s| s.can_re_rate(fingerprint, &opts.reach));
         let _span = dtc_obs::stage_span(if re_rating { "re_rate" } else { "explore" });
         let mut explore_stats = dtc_petri::ExploreStats::default();
-        let graph = explore_from(&self.net, &opts.reach, structure, &mut explore_stats)?;
+        let graph = explore_from_fingerprinted(
+            &self.net,
+            fingerprint,
+            &opts.reach,
+            structure,
+            &mut explore_stats,
+        )?;
         crate::instrument::record_explore(&explore_stats);
         let stats = graph.stats();
         dtc_obs::trace::attr_int("states", stats.tangible_states as i64);

@@ -45,9 +45,11 @@ options:
                             scenario workers and each solve (default or 0:
                             one per available core)
   --solver NAME             steady-state solver: gauss-seidel (default;
-                            sweeps with extrapolation jumps kept only when
-                            they lower the true residual) or direct (dense
-                            elimination, small chains only)
+                            exact GTH elimination on chains of <= 4096
+                            states where that is cheaper than sweeping,
+                            else sweeps with extrapolation jumps kept only
+                            when they lower the true residual) or direct
+                            (dense elimination, small chains only)
   --analyses LIST           comma-separated analyses to run per scenario
                             (steady_state, transient, interval, mttsf,
                             capacity_thresholds, cost, simulation, sensitivity);

@@ -22,6 +22,7 @@
 //! # Ok::<(), dtc_markov::MarkovError>(())
 //! ```
 
+use crate::elimination::{EliminationPlan, SharedPlan, MAX_PLAN_STATES};
 use crate::error::{MarkovError, Result};
 use crate::solve::{
     direct_stationary, dot, stationary_iteration, Method, SolveStats, SolverOptions,
@@ -95,8 +96,10 @@ impl CtmcBuilder {
 #[derive(Debug, Clone)]
 pub struct Ctmc {
     q: CsrMatrix,
-    /// Transposed generator, materialized lazily for iterative solvers.
     exit_rates: Vec<f64>,
+    /// The elimination plan of `q`'s pattern, built on the first default
+    /// steady solve; shared with every chain handed the same slot.
+    plan: SharedPlan,
 }
 
 impl Ctmc {
@@ -141,7 +144,22 @@ impl Ctmc {
                 });
             }
         }
-        Ok(Ctmc { q, exit_rates })
+        Ok(Ctmc { q, exit_rates, plan: SharedPlan::new() })
+    }
+
+    /// Solves through `plan` instead of this chain's own slot. Chains of one
+    /// sparsity pattern — the re-rated siblings of one state-space
+    /// structure — hand each other the slot so the plan is built once. A
+    /// slot filled from another pattern is not used: the solve then builds
+    /// a private plan ([`EliminationPlan::fits`]).
+    pub fn with_shared_plan(mut self, plan: SharedPlan) -> Ctmc {
+        self.plan = plan;
+        self
+    }
+
+    /// The slot holding this chain's elimination plan.
+    pub fn shared_plan(&self) -> &SharedPlan {
+        &self.plan
     }
 
     /// Number of states.
@@ -185,8 +203,9 @@ impl Ctmc {
         CsrMatrix::from_coo(&coo)
     }
 
-    /// Steady-state distribution with the default method (Gauss–Seidel with
-    /// a direct fallback for small chains).
+    /// Steady-state distribution with the default method (exact elimination
+    /// where a plan is cheaper than sweeping, else Gauss–Seidel with a direct
+    /// fallback for small chains).
     ///
     /// # Errors
     ///
@@ -196,6 +215,14 @@ impl Ctmc {
     }
 
     /// Steady-state distribution with an explicit method and options.
+    ///
+    /// [`Method::GaussSeidel`] first tries this chain's
+    /// [`EliminationPlan`] (built on first use, at most once per shared
+    /// slot): an irreducible chain of at most 4,096 states whose plan fits
+    /// the budget is solved exactly, reported as `SolveStats { iterations:
+    /// 1, method: Direct }`, counted in [`crate::instrument::eliminations`]
+    /// and marked `plan_updates` on the span. Every other chain sweeps
+    /// exactly as before.
     ///
     /// Records a `stationary_solve` stage span and the iteration count into
     /// the [`dtc_obs::global`] registry (see [`crate::instrument`]) — for a
@@ -216,21 +243,27 @@ impl Ctmc {
         let n = self.num_states();
         let result = match method {
             Method::Direct => direct_stationary(&self.q),
-            Method::GaussSeidel => {
-                let qt = self.q.transpose();
-                match stationary_iteration(&qt, &vec![1.0 / n as f64; n], opts) {
+            Method::GaussSeidel => match self.eliminate() {
+                Some(exact) => Ok(exact),
+                None => match stationary_iteration(
+                    &self.q.transpose(),
+                    &vec![1.0 / n as f64; n],
+                    opts,
+                ) {
                     // Gauss–Seidel can stall on nearly-completely-decomposable
                     // stiff chains; fall back to the exact solver when the
                     // chain is small enough for O(n^3) to be bearable.
-                    Err(MarkovError::NotConverged { iterations, .. }) if n <= 4096 => {
+                    Err(MarkovError::NotConverged { iterations, .. })
+                        if n <= MAX_PLAN_STATES =>
+                    {
                         crate::instrument::count_stationary_iterations(iterations as u64);
                         crate::instrument::count_direct_fallback();
                         dtc_obs::trace::attr_str("fallback", "direct");
                         direct_stationary(&self.q)
                     }
                     swept => swept,
-                }
-            }
+                },
+            },
         };
         let numerics = match &result {
             Ok((_, stats)) => Some((stats.iterations, stats.residual, stats.method)),
@@ -251,6 +284,33 @@ impl Ctmc {
             dtc_obs::trace::attr_float("residual_l1", residual_l1);
         }
         result
+    }
+
+    /// The exact answer of this chain's elimination plan, or `None` when the
+    /// chain gets no plan (too large, over budget), has an absorbing state
+    /// (the sweeps report it) or meets a zero pivot (it is not irreducible;
+    /// the sweeps and their fallback decide).
+    fn eliminate(&self) -> Option<(Vec<f64>, SolveStats)> {
+        if self.exit_rates.contains(&0.0) {
+            return None;
+        }
+        // A sibling whose zero rate dropped an entry has another pattern
+        // than the one its shared slot was filled from; it gets the plan a
+        // standalone chain would build, so its answer does not depend on
+        // which sibling solved first.
+        let private;
+        let plan = match self.plan.get_or_build(&self.q)? {
+            plan if plan.fits(&self.q) => plan,
+            _ => {
+                private = EliminationPlan::build(&self.q)?;
+                &private
+            }
+        };
+        let pi = plan.solve(&self.q)?;
+        crate::instrument::count_elimination();
+        dtc_obs::trace::attr_int("plan_updates", plan.updates() as i64);
+        let residual = self.q.vec_mul(&pi).iter().map(|v| v.abs()).fold(0.0, f64::max);
+        Some((pi, SolveStats { iterations: 1, residual, method: Method::Direct }))
     }
 
     /// Transient state distribution at time `t` from initial distribution
@@ -369,6 +429,20 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A chain where every state reaches every other. Its elimination plan
+    /// overruns the update budget (~n³/3 updates against 64·n² stored
+    /// rates for n = 250), so it is swept, and a starved sweep falls back
+    /// to the direct solver.
+    fn complete_chain(n: usize) -> Ctmc {
+        let mut b = CtmcBuilder::new(n);
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                b.rate(i, j, 1e-3 * (1 + (7 * i + j) % 11) as f64);
+            }
+        }
+        b.build().unwrap()
+    }
+
     /// The attributes of every `stationary_solve` span in a trace.
     fn solve_attrs(ctx: &TraceContext) -> Vec<Vec<(String, AttrValue)>> {
         let spans = ctx.snapshot().spans.into_iter();
@@ -388,7 +462,8 @@ mod tests {
             ..SolverOptions::default()
         };
         let large = stiff_ring(4100);
-        let small = stiff_ring(5);
+        let small = complete_chain(250);
+        assert!(small.shared_plan().get_or_build(small.generator()).is_none());
         let ctx = TraceContext::new(TraceId::generate());
         let iterations0 = crate::instrument::stationary_iterations();
         let fallbacks0 = crate::instrument::direct_fallbacks();
@@ -409,7 +484,7 @@ mod tests {
         assert_eq!(iterations, 2);
         assert!(crate::instrument::stationary_iterations() >= iterations0 + iterations as u64);
         // Stalled Gauss–Seidel on a small chain falls back to the direct solver.
-        let (_, stats) = fell_back.expect("direct fallback solves a 5-state chain");
+        let (_, stats) = fell_back.expect("direct fallback solves a 250-state chain");
         assert_eq!(stats.method, Method::Direct);
         assert!(crate::instrument::direct_fallbacks() > fallbacks0);
 

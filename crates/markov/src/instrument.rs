@@ -14,6 +14,7 @@
 //! * `dtc_solver_transient_marches_total`
 //! * `dtc_solver_stationary_iterations_total`
 //! * `dtc_solver_direct_fallbacks_total`
+//! * `dtc_solver_eliminations_total`
 //! * `dtc_solver_loose_accepts_total`
 //! * `dtc_solver_extrapolations_total{outcome="accepted"|"rejected"}`
 //!
@@ -65,6 +66,15 @@ fn fallbacks() -> &'static Counter {
         &C,
         "dtc_solver_direct_fallbacks_total",
         "Stationary solves whose sweep method stalled and fell back to the direct solver.",
+    )
+}
+
+fn eliminated() -> &'static Counter {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    solver_counter(
+        &C,
+        "dtc_solver_eliminations_total",
+        "Stationary solves answered exactly by a GTH elimination plan since process start.",
     )
 }
 
@@ -122,6 +132,13 @@ pub fn direct_fallbacks() -> u64 {
     fallbacks().value()
 }
 
+/// Total stationary solves answered by an elimination plan
+/// ([`crate::elimination::EliminationPlan`]) since process start. Each also
+/// counts as one iteration in [`stationary_iterations`].
+pub fn eliminations() -> u64 {
+    eliminated().value()
+}
+
 /// Total stationary solves that ran out of sweeps and were accepted under
 /// [`crate::SolverOptions::accept_loose`] since process start.
 pub fn loose_accepts() -> u64 {
@@ -146,10 +163,18 @@ pub(crate) fn count_transient_march() {
 
 pub(crate) fn count_stationary_iterations(n: u64) {
     iterations().add(n);
-    // Registers the fallback and loose-accept series with the first solve,
-    // so a scrape shows them at zero instead of omitting them.
+    // Registers the fallback, loose-accept, elimination and extrapolation
+    // series with the first solve, so a scrape shows them at zero instead
+    // of omitting them.
     fallbacks();
     loose();
+    eliminated();
+    accepted_jumps();
+    rejected_jumps();
+}
+
+pub(crate) fn count_elimination() {
+    eliminated().inc();
 }
 
 pub(crate) fn count_direct_fallback() {
@@ -189,8 +214,10 @@ mod tests {
     #[test]
     fn counters_appear_in_the_global_scrape() {
         count_uniformized_build();
+        count_stationary_iterations(0);
         let text = dtc_obs::global().render();
         assert!(text.contains("dtc_solver_uniformized_builds_total"), "scrape: {text}");
+        assert!(text.contains("dtc_solver_eliminations_total"), "scrape: {text}");
         count_extrapolations(0, 0);
         let text = dtc_obs::global().render();
         for outcome in ["accepted", "rejected"] {

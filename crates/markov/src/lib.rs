@@ -5,10 +5,11 @@
 //! Systems"* (Silva et al., DSN 2013). It provides:
 //!
 //! * sparse CSR matrices ([`sparse`]),
-//! * continuous-time Markov chains with steady-state solvers
-//!   (Gauss–Seidel, and dense direct elimination as the small-chain oracle
-//!   and fallback) and transient solutions by uniformization ([`ctmc`],
-//!   [`solve`], [`transient`]), including whole transient/interval curves
+//! * continuous-time Markov chains with steady-state solvers (exact GTH
+//!   elimination for small chains where it is cheaper than sweeping,
+//!   Gauss–Seidel otherwise, and dense direct elimination as the oracle and
+//!   fallback) and transient solutions by uniformization ([`ctmc`],
+//!   [`elimination`], [`solve`], [`transient`]), including whole transient/interval curves
 //!   from a single shared march ([`curve`], instrumented via
 //!   [`instrument`]),
 //! * deterministic parallel kernels behind the march, the only threaded
@@ -29,7 +30,7 @@
 //! let chain = b.build()?;
 //!
 //! let (pi, stats) = chain.steady_state_with(Method::GaussSeidel, &SolverOptions::default())?;
-//! println!("availability = {:.6} after {} sweeps", pi[0], stats.iterations);
+//! println!("availability = {:.6} ({} iteration(s), {})", pi[0], stats.iterations, stats.method);
 //! assert!((pi[0] - 1000.0 / 1008.0).abs() < 1e-10);
 //! # Ok::<(), dtc_markov::MarkovError>(())
 //! ```
@@ -41,6 +42,7 @@ pub mod absorbing;
 pub mod ctmc;
 pub mod cumulative;
 pub mod curve;
+pub mod elimination;
 pub mod error;
 pub mod instrument;
 pub mod par;
@@ -58,6 +60,7 @@ pub use curve::{
     cumulative_reward_curve, interval_availability_curve, uniformized_pass,
     uniformized_pass_with, PassOptions, PassOutput, PassStats,
 };
+pub use elimination::{EliminationPlan, SharedPlan};
 pub use error::{MarkovError, Result};
 pub use solve::{dot, Method, SolveStats, SolverOptions};
 pub use sparse::{CooMatrix, CsrMatrix};

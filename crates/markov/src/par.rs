@@ -51,8 +51,13 @@ pub fn num_blocks(len: usize) -> usize {
 /// The fixed block boundaries for a vector of `len` elements. Depends only
 /// on `len`: block `i` is `i·len/nb .. (i+1)·len/nb`.
 pub fn block_ranges(len: usize) -> Vec<Range<usize>> {
+    blocks(len).collect()
+}
+
+/// The fixed block boundaries of [`block_ranges`], without allocating.
+fn blocks(len: usize) -> impl Iterator<Item = Range<usize>> {
     let nb = num_blocks(len);
-    (0..nb).map(|i| (i * len / nb)..((i + 1) * len / nb)).collect()
+    (0..nb).map(move |i| (i * len / nb)..((i + 1) * len / nb))
 }
 
 /// Resolves a thread-count knob: `0` becomes one thread per available
@@ -162,7 +167,7 @@ pub(crate) fn run_jobs(jobs: Vec<Job<'_>>, threads: usize) {
 /// and the values — never on a thread count — so callers can normalize
 /// disjoint sub-slices against the same total (see `dtc_markov::solve`).
 pub fn blocked_sum(x: &[f64]) -> f64 {
-    block_ranges(x.len()).into_iter().map(|r| x[r].iter().sum::<f64>()).sum()
+    blocks(x.len()).map(|r| x[r].iter().sum::<f64>()).sum()
 }
 
 /// Dot product `Σ aᵢ·bᵢ` in fixed block order, with the per-block partials
@@ -258,8 +263,7 @@ mod tests {
     #[test]
     fn blocked_sum_matches_block_order_fold() {
         let x: Vec<f64> = (0..130).map(|i| 1.0 / (i + 1) as f64).collect();
-        let manual: f64 =
-            block_ranges(x.len()).into_iter().map(|r| x[r].iter().sum::<f64>()).sum();
+        let manual: f64 = blocks(x.len()).map(|r| x[r].iter().sum::<f64>()).sum();
         assert_eq!(blocked_sum(&x).to_bits(), manual.to_bits());
         assert_eq!(blocked_sum(&[]), 0.0);
     }

@@ -5,17 +5,24 @@
 //! into the more familiar `Qᵀ πᵀ = 0`, a singular system whose one-dimensional
 //! null space is pinned down by the normalization constraint.
 //!
-//! Two methods are provided:
+//! Two methods are provided. The default one, [`Method::GaussSeidel`],
+//! first tries an exact elimination: [`crate::Ctmc::steady_state_with`]
+//! solves a chain of at most 4,096 states by its GTH
+//! [`crate::elimination::EliminationPlan`] when that plan costs at most
+//! 64 multiply-adds per stored generator entry (about 64 sweeps), and
+//! sweeps only the chains without one. The sweeps live here:
 //!
 //! * **Gauss–Seidel sweeps** on `Qᵀ x = 0` with safeguarded vector
-//!   extrapolation ([`stationary_iteration`]) — the default, and the
-//!   method every bundled workload solves with. O(nnz) memory. On stiff
-//!   dependability models (rates spanning `1/minutes` to `1/centuries`)
-//!   the sweep error decays slowly along one dominant mode with ratio
-//!   `ρ` close to 1. Every few sweeps the solver estimates `ρ` from the
-//!   last two sweep deltas and jumps ahead along that mode: the
-//!   candidate is `x + ρ/(1−ρ)·dₖ` (Stewart, *Introduction to the
-//!   Numerical Solution of Markov Chains*, 1994, ch. 3). The
+//!   extrapolation ([`stationary_iteration`]) — the default for every
+//!   chain without an elimination plan. O(nnz) memory. The diagonal is
+//!   split off once per solve, and the previous iterate is copied only
+//!   on the sweeps that read it. On stiff dependability models (rates
+//!   spanning `1/minutes` to `1/centuries`) the sweep error decays
+//!   slowly along one dominant mode with ratio `ρ` close to 1. Every few
+//!   sweeps the solver estimates `ρ` from the last two sweep deltas and
+//!   jumps ahead along that mode: the candidate is `x + ρ/(1−ρ)·dₖ`
+//!   (Stewart, *Introduction to the Numerical Solution of Markov
+//!   Chains*, 1994, ch. 3). The
 //!   **safeguard** keeps a candidate only if its true residual
 //!   `‖Qᵀx‖₁` is strictly below the current iterate's. A chain whose
 //!   error does not follow one positive mode therefore gets plain
@@ -90,9 +97,13 @@ impl Default for SolverOptions {
 pub enum Method {
     /// Gauss–Seidel sweeps on `Qᵀx = 0` (default), with an extrapolation
     /// jump every few sweeps that is kept only when it lowers the true
-    /// residual `‖Qᵀx‖₁` (see [`stationary_iteration`]). The name stays
-    /// `gauss-seidel`: a solve that rejects every jump is plain
-    /// Gauss–Seidel, and cache keys did not change with the jumps.
+    /// residual `‖Qᵀx‖₁` (see [`stationary_iteration`]). Through
+    /// [`crate::Ctmc::steady_state_with`], a small chain whose GTH
+    /// elimination plan is cheaper than sweeping is solved exactly instead
+    /// (see [`crate::elimination`]). The name stays `gauss-seidel`: a
+    /// solve that rejects every jump is plain Gauss–Seidel, an exact
+    /// answer meets the same accuracy contract, and cache keys did not
+    /// change with either.
     #[default]
     GaussSeidel,
     /// Dense LU-style elimination; exact up to rounding, `O(n³)`.
@@ -132,7 +143,7 @@ impl std::str::FromStr for Method {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveStats {
     /// Number of Gauss–Seidel sweeps performed (extrapolation jumps are
-    /// not sweeps), or 1 for the direct method.
+    /// not sweeps), or 1 for the direct method and for an elimination.
     pub iterations: usize,
     /// Final residual estimate (max-norm of the last delta, or of `xQᵀ` for
     /// the direct method).
@@ -265,27 +276,26 @@ pub fn stationary_iteration(
     if n == 1 {
         return Ok((vec![1.0], SolveStats { iterations: 0, residual: 0.0, method }));
     }
-    // Pre-extract diagonal; a zero diagonal entry means an absorbing state,
-    // which has no unique normalized stationary vector under this solver.
-    let mut diag = vec![0.0; n];
-    for (i, slot) in diag.iter_mut().enumerate() {
-        let d = a.get(i, i);
-        if d == 0.0 {
-            return Err(MarkovError::ZeroDiagonal { state: i });
-        }
-        *slot = d;
+    // Split off the diagonal once; a zero diagonal entry means an absorbing
+    // state, which has no unique normalized stationary vector under this
+    // solver.
+    let (off, diag) = a.split_diagonal();
+    if let Some(state) = diag.iter().position(|&d| d == 0.0) {
+        return Err(MarkovError::ZeroDiagonal { state });
     }
     let mut jumps = Jumps::default();
-    let result = sweep_to_convergence(a, &diag, x0, opts, &mut jumps);
+    let result = sweep_to_convergence(a, &off, &diag, x0, opts, &mut jumps);
     crate::instrument::count_extrapolations(jumps.accepted, jumps.rejected);
     dtc_obs::trace::attr_int("extrapolations", jumps.accepted as i64);
     dtc_obs::trace::attr_int("rejected", jumps.rejected as i64);
     result
 }
 
-/// The sweep loop of [`stationary_iteration`] on validated inputs.
+/// The sweep loop of [`stationary_iteration`] on validated inputs: `off`
+/// and `diag` are `a` split by [`CsrMatrix::split_diagonal`].
 fn sweep_to_convergence(
     a: &CsrMatrix,
+    off: &CsrMatrix,
     diag: &[f64],
     x0: &[f64],
     opts: &SolverOptions,
@@ -295,8 +305,10 @@ fn sweep_to_convergence(
     let n = a.nrows();
     let mut x = x0.to_vec();
     normalize(&mut x);
-    // `prev` is the sweep's input; on an extrapolation sweep `prev2` holds
-    // the input of the sweep before, and `candidate` the jumped iterate.
+    // `prev` is the sweep's input, copied only on the sweeps that read it:
+    // a convergence check, an extrapolation and the sweep before one. On an
+    // extrapolation sweep `prev2` holds the input of the sweep before, and
+    // `candidate` the jumped iterate.
     let mut prev = vec![0.0; n];
     let mut prev2 = vec![0.0; n];
     let mut candidate = vec![0.0; n];
@@ -305,25 +317,26 @@ fn sweep_to_convergence(
     let mut check_due = false;
     for it in 1..=opts.max_iterations {
         let extrapolate = it % EXTRAPOLATE_EVERY == 0 && it + 2 <= opts.max_iterations;
+        let feeds_jump = (it + 1) % EXTRAPOLATE_EVERY == 0 && it + 3 <= opts.max_iterations;
+        let after_jump = std::mem::take(&mut jumped);
+        check_due |= it % opts.check_every == 0 || it == opts.max_iterations;
+        let check = check_due && !after_jump;
         if extrapolate {
             std::mem::swap(&mut prev, &mut prev2);
         }
-        prev.copy_from_slice(&x);
-        for i in 0..n {
-            let (cols, vals) = a.row(i);
+        if check || extrapolate || feeds_jump {
+            prev.copy_from_slice(&x);
+        }
+        for (i, d) in diag.iter().enumerate() {
+            let (cols, vals) = off.row(i);
             let mut acc = 0.0;
             for (c, v) in cols.iter().zip(vals) {
-                let j = *c as usize;
-                if j != i {
-                    acc += v * x[j];
-                }
+                acc += v * x[*c as usize];
             }
-            x[i] = -acc / diag[i];
+            x[i] = -acc / d;
         }
         normalize(&mut x);
-        let after_jump = std::mem::take(&mut jumped);
-        check_due |= it % opts.check_every == 0 || it == opts.max_iterations;
-        if check_due && !after_jump {
+        if check {
             check_due = false;
             last_delta = max_abs_delta(&prev, &x);
             let scale = x.iter().cloned().fold(0.0, f64::max).max(1e-300);

@@ -189,6 +189,43 @@ impl CsrMatrix {
         (&self.col_idx[span.clone()], &self.values[span])
     }
 
+    /// The sparsity pattern: row pointers and column indices.
+    pub(crate) fn pattern(&self) -> (&[usize], &[u32]) {
+        (&self.row_ptr, &self.col_idx)
+    }
+
+    /// The stored values, in row-major entry order.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Splits a square matrix into its off-diagonal part and its diagonal
+    /// (`0.0` where no diagonal entry is stored). Each row keeps its
+    /// column order, so a row sum over the off-diagonal part adds the same
+    /// terms in the same order as one over the whole row that skips the
+    /// diagonal.
+    pub(crate) fn split_diagonal(&self) -> (CsrMatrix, Vec<f64>) {
+        let mut diag = vec![0.0; self.nrows];
+        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
+        let mut col_idx = Vec::with_capacity(self.nnz());
+        let mut values = Vec::with_capacity(self.nnz());
+        row_ptr.push(0);
+        for (i, d) in diag.iter_mut().enumerate() {
+            let (cols, vals) = self.row(i);
+            for (&c, &v) in cols.iter().zip(vals) {
+                if c as usize == i {
+                    *d = v;
+                } else {
+                    col_idx.push(c);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let off = CsrMatrix { nrows: self.nrows, ncols: self.ncols, row_ptr, col_idx, values };
+        (off, diag)
+    }
+
     /// Looks up a single entry (O(log nnz(row))).
     pub fn get(&self, i: usize, j: usize) -> f64 {
         let (cols, vals) = self.row(i);

@@ -1,14 +1,19 @@
-//! The default steady-state solve — Gauss–Seidel with safeguarded
-//! extrapolation — against the dense direct solver, on seeded random
-//! stiff chains, the Table VII single-site models (13, 61 and 2,314
+//! The Gauss–Seidel solve with safeguarded extrapolation
+//! ([`stationary_iteration`]) against the dense direct solver, on seeded
+//! random stiff chains, the Table VII single-site models (13, 61 and 2,314
 //! states) and every distinct search7 structure of at most 1,020 states:
 //! the two answers must agree to `‖Δπ‖₁ ≤ 1e-9`, with no direct
 //! fallback. A stiff ring swept against its flow, whose error does not
 //! decay along one positive mode, checks the safeguard: every jump there
 //! is rejected and the solve still meets the direct answer.
+//!
+//! The default solve answers most of these chains by elimination (see
+//! `elimination.rs`), so the sweeps are called directly here, inside a
+//! `stationary_solve` span that collects their jump counts.
 
 use dtc_core::scenarios::{table_vii_scenarios, CaseStudy};
 use dtc_core::{CloudModel, EvalOptions};
+use dtc_markov::solve::stationary_iteration;
 use dtc_markov::{Ctmc, CtmcBuilder, Method, SolverOptions};
 use dtc_obs::trace::{install, AttrValue, TraceContext, TraceId};
 use std::collections::HashSet;
@@ -24,15 +29,18 @@ struct Solve {
     rejected: i64,
 }
 
-/// Solves `ctmc` with the default method and options and with the direct
-/// solver, and checks the default answer came from the sweeps (no
-/// fallback) and meets the direct one.
+/// Solves `ctmc` with Gauss–Seidel sweeps under the default options and
+/// with the direct solver, and checks the sweeps converged (no fallback)
+/// and meet the direct answer.
 fn solve_against_direct(label: &str, ctmc: &Ctmc) -> Solve {
     let ctx = TraceContext::new(TraceId::generate());
+    let n = ctmc.num_states();
     let (pi, stats) = {
         let _installed = install(&ctx);
-        ctmc.steady_state_with(Method::default(), &SolverOptions::default())
-            .unwrap_or_else(|e| panic!("{label}: default solve failed: {e}"))
+        let _span = dtc_obs::stage_span("stationary_solve");
+        let qt = ctmc.generator().transpose();
+        stationary_iteration(&qt, &vec![1.0 / n as f64; n], &SolverOptions::default())
+            .unwrap_or_else(|e| panic!("{label}: Gauss–Seidel solve failed: {e}"))
     };
     assert_eq!(stats.method, Method::GaussSeidel, "{label}: fell back to the direct solver");
     let (exact, _) = ctmc
@@ -52,7 +60,7 @@ fn solve_against_direct(label: &str, ctmc: &Ctmc) -> Solve {
         other => panic!("{label}: span attribute {key} is {other:?}"),
     };
     Solve {
-        sweeps: int("iterations"),
+        sweeps: stats.iterations as i64,
         accepted: int("extrapolations"),
         rejected: int("rejected"),
     }

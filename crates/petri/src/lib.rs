@@ -58,6 +58,6 @@ pub use model::{
     TransitionBuilder, TransitionId, TransitionKind,
 };
 pub use reach::{
-    explore, explore_from, structural_fingerprint, ExploreStats, ReachOptions, ReachStats,
-    Solution, TangibleGraph, TangibleStructure, VanishingPolicy,
+    explore, explore_from, explore_from_fingerprinted, structural_fingerprint, ExploreStats,
+    ReachOptions, ReachStats, Solution, TangibleGraph, TangibleStructure, VanishingPolicy,
 };

@@ -20,7 +20,7 @@
 use crate::error::{PetriError, Result};
 use crate::expr::{BoolExpr, IntExpr};
 use crate::model::{Marking, PetriNet, PlaceId, TransitionId, TransitionKind};
-use dtc_markov::{CooMatrix, CsrMatrix, Ctmc, Method, SolveStats, SolverOptions};
+use dtc_markov::{CooMatrix, CsrMatrix, Ctmc, Method, SharedPlan, SolveStats, SolverOptions};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -116,6 +116,10 @@ pub struct TangibleStructure {
     /// `false` for graphs built under [`VanishingPolicy::ApproximateRate`],
     /// whose matrix entries are not pure timed-rate terms.
     rateable: bool,
+    /// The elimination plan of the generator pattern, shared by the graph
+    /// explored here and every graph re-rated from it, so it is built at
+    /// most once per structure (see [`dtc_markov::elimination`]).
+    plan: SharedPlan,
 }
 
 impl TangibleStructure {
@@ -135,7 +139,24 @@ impl TangibleStructure {
     /// from exact elimination and the net's [`structural_fingerprint`]
     /// matches.
     pub fn matches(&self, net: &PetriNet) -> bool {
-        self.rateable && self.fingerprint == structural_fingerprint(net)
+        self.matches_fingerprint(structural_fingerprint(net))
+    }
+
+    /// [`TangibleStructure::matches`] for a net whose
+    /// [`structural_fingerprint`] the caller already holds.
+    fn matches_fingerprint(&self, fingerprint: u64) -> bool {
+        self.rateable && self.fingerprint == fingerprint
+    }
+
+    /// Whether [`explore_from`] re-rates a net with this `fingerprint` on
+    /// this structure under `opts`. Re-rating replays the recorded
+    /// exact-elimination terms, so it is only valid when the caller still
+    /// wants that policy and the structure respects the caller's state
+    /// bound.
+    pub fn can_re_rate(&self, fingerprint: u64, opts: &ReachOptions) -> bool {
+        opts.vanishing == VanishingPolicy::Eliminate
+            && self.num_states() <= opts.max_states
+            && self.matches_fingerprint(fingerprint)
     }
 
     /// Re-evaluates only the rate expressions of this structure against a
@@ -151,20 +172,27 @@ impl TangibleStructure {
     /// from this structure's (or the structure is not rateable). Use
     /// [`explore_from`] to fall back to a full exploration instead.
     pub fn re_rate(self: &Arc<Self>, net: &PetriNet) -> Result<TangibleGraph> {
-        if !self.matches(net) {
-            return Err(PetriError::StructureMismatch {
-                expected: self.fingerprint,
-                got: structural_fingerprint(net),
-            });
+        self.re_rate_fingerprinted(net, structural_fingerprint(net))
+    }
+
+    /// [`TangibleStructure::re_rate`] for a net whose
+    /// [`structural_fingerprint`] is `fingerprint`, computed once by the
+    /// caller.
+    fn re_rate_fingerprinted(
+        self: &Arc<Self>,
+        net: &PetriNet,
+        fingerprint: u64,
+    ) -> Result<TangibleGraph> {
+        let mismatch =
+            || PetriError::StructureMismatch { expected: self.fingerprint, got: fingerprint };
+        if !self.matches_fingerprint(fingerprint) {
+            return Err(mismatch());
         }
         let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(self.terms.len());
         for term in &self.terms {
-            let rate = net.firing_rate(term.transition, &self.states[term.source]).ok_or_else(
-                || PetriError::StructureMismatch {
-                    expected: self.fingerprint,
-                    got: structural_fingerprint(net),
-                },
-            )?;
+            let rate = net
+                .firing_rate(term.transition, &self.states[term.source])
+                .ok_or_else(mismatch)?;
             triplets.push((term.source, term.target, rate * term.prob));
         }
         let n = self.states.len();
@@ -173,7 +201,7 @@ impl TangibleStructure {
             vanishing_markings: self.vanishing_markings,
             edges: triplets.len(),
         };
-        let ctmc = assemble_ctmc(n, &triplets)?;
+        let ctmc = assemble_ctmc(n, &triplets)?.with_shared_plan(self.plan.clone());
         Ok(TangibleGraph { structure: Arc::clone(self), ctmc, stats })
     }
 }
@@ -434,9 +462,20 @@ impl<'a> Eliminator<'a> {
 /// * [`PetriError::Markov`] if the rate matrix is rejected by the CTMC
 ///   validator (cannot normally happen for well-formed nets).
 pub fn explore(net: &PetriNet, opts: &ReachOptions) -> Result<TangibleGraph> {
+    explore_fingerprinted(net, structural_fingerprint(net), opts)
+}
+
+/// [`explore`] for a net whose [`structural_fingerprint`] is `fingerprint`.
+fn explore_fingerprinted(
+    net: &PetriNet,
+    fingerprint: u64,
+    opts: &ReachOptions,
+) -> Result<TangibleGraph> {
     match opts.vanishing {
-        VanishingPolicy::Eliminate => explore_eliminating(net, opts),
-        VanishingPolicy::ApproximateRate(factor) => explore_approximate(net, opts, factor),
+        VanishingPolicy::Eliminate => explore_eliminating(net, fingerprint, opts),
+        VanishingPolicy::ApproximateRate(factor) => {
+            explore_approximate(net, fingerprint, opts, factor)
+        }
     }
 }
 
@@ -451,22 +490,30 @@ pub fn explore_from(
     structure: Option<&Arc<TangibleStructure>>,
     stats: &mut ExploreStats,
 ) -> Result<TangibleGraph> {
+    explore_from_fingerprinted(net, structural_fingerprint(net), opts, structure, stats)
+}
+
+/// [`explore_from`] for a net whose [`structural_fingerprint`] the caller
+/// already holds, so a batch that looked the structure up by fingerprint
+/// hashes each net once. `fingerprint` must be `structural_fingerprint(net)`.
+pub fn explore_from_fingerprinted(
+    net: &PetriNet,
+    fingerprint: u64,
+    opts: &ReachOptions,
+    structure: Option<&Arc<TangibleStructure>>,
+    stats: &mut ExploreStats,
+) -> Result<TangibleGraph> {
+    debug_assert_eq!(fingerprint, structural_fingerprint(net), "stale fingerprint");
     if let Some(s) = structure {
-        // Re-rating replays the recorded exact-elimination terms, so it is
-        // only valid when the caller still wants that policy and the shared
-        // structure respects the caller's state bound.
-        let compatible = opts.vanishing == VanishingPolicy::Eliminate
-            && s.num_states() <= opts.max_states
-            && s.matches(net);
-        if compatible {
+        if s.can_re_rate(fingerprint, opts) {
             stats.re_rates += 1;
-            return s.re_rate(net);
+            return s.re_rate_fingerprinted(net, fingerprint);
         }
         stats.fallbacks += 1;
     } else {
         stats.explorations += 1;
     }
-    explore(net, opts)
+    explore_fingerprinted(net, fingerprint, opts)
 }
 
 /// A digest of everything about a net **except** its timed transition
@@ -554,7 +601,11 @@ impl Fnv64 {
     }
 }
 
-fn explore_eliminating(net: &PetriNet, opts: &ReachOptions) -> Result<TangibleGraph> {
+fn explore_eliminating(
+    net: &PetriNet,
+    fingerprint: u64,
+    opts: &ReachOptions,
+) -> Result<TangibleGraph> {
     let mut eliminator = Eliminator::new(net, opts.max_vanishing_depth);
     let mut states: Vec<Marking> = Vec::new();
     let mut index: HashMap<Marking, usize> = HashMap::new();
@@ -614,19 +665,21 @@ fn explore_eliminating(net: &PetriNet, opts: &ReachOptions) -> Result<TangibleGr
     };
     let ctmc = assemble_ctmc(n, &triplets)?;
     let structure = Arc::new(TangibleStructure {
-        fingerprint: structural_fingerprint(net),
+        fingerprint,
         states,
         index,
         initial_distribution,
         terms,
         vanishing_markings: stats.vanishing_markings,
         rateable: true,
+        plan: ctmc.shared_plan().clone(),
     });
     Ok(TangibleGraph { structure, ctmc, stats })
 }
 
 fn explore_approximate(
     net: &PetriNet,
+    fingerprint: u64,
     opts: &ReachOptions,
     factor: f64,
 ) -> Result<TangibleGraph> {
@@ -675,13 +728,14 @@ fn explore_approximate(
     // Approximate-rate matrices mix immediate weights into the entries, so
     // the structure is kept (for state/index accessors) but not rateable.
     let structure = Arc::new(TangibleStructure {
-        fingerprint: structural_fingerprint(net),
+        fingerprint,
         states,
         index,
         initial_distribution,
         terms: Vec::new(),
         vanishing_markings: 0,
         rateable: false,
+        plan: ctmc.shared_plan().clone(),
     });
     Ok(TangibleGraph { structure, ctmc, stats })
 }

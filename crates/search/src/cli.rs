@@ -51,9 +51,11 @@ options:
                              each break-even probe batch (default or 0:
                              one per available core)
   --solver NAME              steady-state solver: gauss-seidel (default;
-                             sweeps with extrapolation jumps kept only when
-                             they lower the true residual) or direct (dense
-                             elimination, small chains only)
+                             exact GTH elimination on chains of <= 4096
+                             states where that is cheaper than sweeping,
+                             else sweeps with extrapolation jumps kept only
+                             when they lower the true residual) or direct
+                             (dense elimination, small chains only)
   --cache FILE               persistent JSON evaluation cache
   --cache-cap N              cap resident cache entries (oldest evicted)
   --no-break-even            skip break-even bisections between frontier pairs

@@ -189,6 +189,8 @@ fn metrics_move_across_a_scripted_hit_miss_evict_431_413_503_sequence() {
     // sweep counter.
     assert!(sample(&text, "dtc_solver_extrapolations_total{outcome=\"accepted\"}") >= 0.0);
     assert!(sample(&text, "dtc_solver_extrapolations_total{outcome=\"rejected\"}") >= 0.0);
+    // The small served models are solved exactly by an elimination plan.
+    assert!(sample(&text, "dtc_solver_eliminations_total") >= 1.0);
 
     // An unknown route lands in the bounded "other" label.
     assert_eq!(status_of(&raw_request(addr, "GET", "/nope", None)), 404);
